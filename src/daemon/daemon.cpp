@@ -218,7 +218,10 @@ void SwmonDaemon::PumpLoop() {
     round.clear();
     for (std::size_t i = 0; i < sources_.size(); ++i) {
       if (!source_alive[i]) continue;
-      if (!sources_[i]->Poll(round)) source_alive[i] = false;
+      // The budget caps the round even when one source holds a deep
+      // backlog; what it leaves stays queued in the source.
+      if (!sources_[i]->Poll(round, options_.max_round_events - round.size()))
+        source_alive[i] = false;
       if (round.size() >= options_.max_round_events) break;
     }
 

@@ -73,7 +73,8 @@ struct SwmondOptions {
   MonitorConfig monitor;
   std::size_t violation_capacity = 4096;
 
-  /// Max events delivered per pump round (bounds latency of control ops).
+  /// Max events delivered per pump round (bounds latency of control ops
+  /// and the round's memory); each source's Poll gets the remaining budget.
   std::size_t max_round_events = 8192;
   /// Pump sleep when idle, microseconds.
   long idle_sleep_us = 500;

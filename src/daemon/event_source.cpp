@@ -129,7 +129,8 @@ bool TraceTailer::ReadHeader() {
   return true;
 }
 
-bool TraceTailer::Poll(std::vector<DataplaneEvent>& out) {
+bool TraceTailer::Poll(std::vector<DataplaneEvent>& out,
+                       std::size_t max_events) {
   if (!error_.empty()) return false;
   if (fd_ < 0) {
     fd_ = ::open(path_.c_str(), O_RDONLY);
@@ -140,24 +141,31 @@ bool TraceTailer::Poll(std::vector<DataplaneEvent>& out) {
     if (!header_ok_) return true;
   }
   std::uint8_t chunk[1 << 16];
-  ssize_t r;
-  while ((r = ::pread(fd_, chunk, sizeof(chunk), offset_)) > 0) {
+  DataplaneEvent ev;
+  std::size_t taken = 0;
+  for (;;) {
+    // Decode what is buffered before reading more, so a spent budget
+    // leaves the rest of the file unread.
+    auto res = TraceEventDecoder::Result::kNeedMore;
+    while (taken < max_events &&
+           (res = decoder_.Next(ev)) == TraceEventDecoder::Result::kEvent) {
+      out.push_back(ev);
+      ++taken;
+    }
+    if (res == TraceEventDecoder::Result::kCorrupt) {
+      error_ = path_ + ": " + decoder_.error();
+      return false;
+    }
+    if (taken == max_events) return true;
+    const ssize_t r = ::pread(fd_, chunk, sizeof(chunk), offset_);
+    if (r < 0) {
+      error_ = "read " + path_ + " failed: " + std::strerror(errno);
+      return false;
+    }
+    if (r == 0) return true;  // caught up with the writer
     decoder_.Feed(chunk, static_cast<std::size_t>(r));
     offset_ += static_cast<std::uint64_t>(r);
   }
-  if (r < 0) {
-    error_ = "read " + path_ + " failed: " + std::strerror(errno);
-    return false;
-  }
-  DataplaneEvent ev;
-  TraceEventDecoder::Result res;
-  while ((res = decoder_.Next(ev)) == TraceEventDecoder::Result::kEvent)
-    out.push_back(ev);
-  if (res == TraceEventDecoder::Result::kCorrupt) {
-    error_ = path_ + ": " + decoder_.error();
-    return false;
-  }
-  return true;
 }
 
 // ------------------------------------------------------- SocketSource
@@ -390,12 +398,15 @@ void SocketSource::ReadConnection(int fd) {
       connection_fds_.end());
 }
 
-bool SocketSource::Poll(std::vector<DataplaneEvent>& out) {
+bool SocketSource::Poll(std::vector<DataplaneEvent>& out,
+                        std::size_t max_events) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!queue_.empty()) {
+  const auto n =
+      static_cast<std::ptrdiff_t>(std::min(max_events, queue_.size()));
+  if (n != 0) {
     out.insert(out.end(), std::make_move_iterator(queue_.begin()),
-               std::make_move_iterator(queue_.end()));
-    queue_.clear();
+               std::make_move_iterator(queue_.begin() + n));
+    queue_.erase(queue_.begin(), queue_.begin() + n);
     space_cv_.notify_all();
   }
   return true;

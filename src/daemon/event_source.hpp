@@ -20,8 +20,9 @@
 //     blocks its connection (TCP backpressure) instead of growing daemon
 //     memory.
 //
-// Both sources present one contract: Poll(out) appends any newly available
-// events and returns false only when the source is permanently finished
+// Both sources present one contract: Poll(out, max_events) appends up to
+// max_events newly available events, leaving the rest for later polls in
+// order, and returns false only when the source is permanently finished
 // (closed, or corrupt input — see error()).
 #pragma once
 
@@ -42,10 +43,15 @@ namespace swmon {
 
 class EventSource {
  public:
+  /// Poll budget meaning "everything available".
+  static constexpr std::size_t kUnlimited = static_cast<std::size_t>(-1);
+
   virtual ~EventSource() = default;
-  /// Appends newly available events to `out` (never blocks for long).
-  /// Returns false when the source is permanently done.
-  virtual bool Poll(std::vector<DataplaneEvent>& out) = 0;
+  /// Appends at most `max_events` newly available events to `out` (never
+  /// blocks for long); the rest stay with the source, in order, for later
+  /// polls. Returns false when the source is permanently done.
+  virtual bool Poll(std::vector<DataplaneEvent>& out,
+                    std::size_t max_events = kUnlimited) = 0;
   virtual const std::string& name() const = 0;
   /// Empty while healthy; a diagnosis once Poll has returned false.
   virtual const std::string& error() const = 0;
@@ -64,7 +70,10 @@ class TraceTailer : public EventSource {
   explicit TraceTailer(std::string path);
   ~TraceTailer() override;
 
-  bool Poll(std::vector<DataplaneEvent>& out) override;
+  /// Reads the file only as far as the budget needs: bytes past the last
+  /// event handed out stay on disk, not in the decoder.
+  bool Poll(std::vector<DataplaneEvent>& out,
+            std::size_t max_events = kUnlimited) override;
   const std::string& name() const override { return name_; }
   const std::string& error() const override { return error_; }
   std::uint64_t events_ingested() const override {
@@ -104,7 +113,8 @@ class SocketSource : public EventSource {
   bool Start(std::string* error = nullptr);
   void Stop();
 
-  bool Poll(std::vector<DataplaneEvent>& out) override;
+  bool Poll(std::vector<DataplaneEvent>& out,
+            std::size_t max_events = kUnlimited) override;
   const std::string& name() const override { return name_; }
   const std::string& error() const override { return error_; }
   std::uint64_t events_ingested() const override {

@@ -83,11 +83,24 @@ struct PatternCode {
 
 /// field == $var link term; the slice [link_begin, link_begin+link_count)
 /// of Program::links is a stage's keyed-store key, mirroring the
-/// interpreter's StageStore::link (full-width, non-allow_absent equality
-/// conditions only).
+/// interpreter's StageStore::link (both come from PlanStageIndex).
 struct LinkTerm {
   std::uint16_t field;
   std::uint16_t var;
+};
+
+/// One abort pattern plus what the abort pass checks once per event, before
+/// visiting any instance.
+struct AbortCode {
+  PatternCode pattern;
+  /// Pattern run of only the constant conditions: the instance-independent
+  /// part of `pattern`.
+  std::uint32_t guard = 0;
+  std::uint64_t need = 0;  // RequiredFieldMask: fields the event must carry
+  /// Slice of Program::key_fields projecting the stage's link key from the
+  /// event (StageIndexPlan::abort_probes); probe_count 0 = walk the stage.
+  std::uint32_t probe_begin = 0;
+  std::uint32_t probe_count = 0;
 };
 
 struct StageCode {
@@ -95,7 +108,7 @@ struct StageCode {
   PatternCode pattern;              // kEvent stages
   std::uint32_t bind_begin = 0;
   bool has_bindings = false;        // stage can rebind env (re-key path)
-  std::vector<PatternCode> aborts;
+  std::vector<AbortCode> aborts;
   std::uint32_t link_begin = 0;
   std::uint32_t link_count = 0;
   std::int64_t window_ns = 0;       // 0 = unbounded
@@ -130,7 +143,7 @@ struct Program {
   std::vector<std::uint16_t> stage0_key_fields;
 
   std::vector<SuppressorCode> suppressors;
-  std::vector<std::uint16_t> key_fields;  // suppression key-field pool
+  std::vector<std::uint16_t> key_fields;  // suppression/abort-probe field pool
   std::uint32_t suppression_key_begin = 0;
   std::uint32_t suppression_key_count = 0;
 

@@ -141,23 +141,32 @@ std::optional<Program> CompileProperty(const Property& property) {
     if (st.kind == StageKind::kEvent) sc.pattern = EmitPattern(st.pattern, prog);
     sc.bind_begin = EmitBindRun(st, prog);
     sc.has_bindings = !st.bindings.empty();
-    for (const Pattern& a : st.aborts) sc.aborts.push_back(EmitPattern(a, prog));
 
-    // Link-key selection, identical to the MonitorEngine constructor: only
-    // full-width, non-allow_absent equality against a variable can serve
-    // as a hash key (an allow_absent condition also matches events that
-    // *lack* the field, which a keyed lookup would never reach).
+    // Link keys and abort probes come from the plan the MonitorEngine
+    // constructor uses, so both engines file and find instances alike.
+    StageIndexPlan plan;
+    if (k >= 1) plan = PlanStageIndex(property, k);
     sc.link_begin = static_cast<std::uint32_t>(prog.links.size());
-    if (k >= 1 && st.kind == StageKind::kEvent) {
-      for (const Condition& c : st.pattern.conditions) {
-        if (c.op == CmpOp::kEq && c.rhs.kind == Term::Kind::kVar &&
-            c.mask == ~std::uint64_t{0} && !c.allow_absent)
-          prog.links.push_back(LinkTerm{static_cast<std::uint16_t>(c.field),
-                                        c.rhs.var});
-      }
-    }
+    for (const auto& [field, var] : plan.link)
+      prog.links.push_back(LinkTerm{static_cast<std::uint16_t>(field), var});
     sc.link_count =
         static_cast<std::uint32_t>(prog.links.size()) - sc.link_begin;
+    for (std::size_t i = 0; i < st.aborts.size(); ++i) {
+      const Pattern& a = st.aborts[i];
+      AbortCode ac;
+      ac.pattern = EmitPattern(a, prog);
+      Pattern guard;
+      for (const Condition& c : a.conditions)
+        if (c.rhs.kind == Term::Kind::kConst) guard.conditions.push_back(c);
+      ac.guard = EmitPattern(guard, prog).begin;
+      ac.need = RequiredFieldMask(a);
+      if (!plan.abort_probes.empty()) {
+        ac.probe_begin = EmitKeyFields(plan.abort_probes[i], prog);
+        ac.probe_count =
+            static_cast<std::uint32_t>(plan.abort_probes[i].size());
+      }
+      sc.aborts.push_back(ac);
+    }
     prog.stages.push_back(std::move(sc));
   }
 
@@ -201,8 +210,8 @@ std::optional<Program> CompileProperty(const Property& property) {
       const StageCode& sc = prog.stages[k];
       if (sc.kind == StageKind::kEvent && TypeCompatible(sc.pattern, t))
         prog.advance_stage_mask[t] |= std::uint64_t{1} << k;
-      for (const PatternCode& a : sc.aborts) {
-        if (TypeCompatible(a, t)) {
+      for (const AbortCode& a : sc.aborts) {
+        if (TypeCompatible(a.pattern, t)) {
           prog.abort_stage_mask[t] |= std::uint64_t{1} << k;
           break;
         }

@@ -189,30 +189,14 @@ void CompiledEngine::InitFailFast() {
     st0_fast_whole_ =
         prog_.code[prog_.stages[0].pattern.begin + 1].op == Op::kMatch;
   }
-  // Required-presence masks: a pattern run is a straight-line conjunction
-  // up to kForbidden/kMatch, and a required condition without
-  // kFlagAllowAbsent fails outright when its field is absent — so an event
-  // missing any such field provably fails ExecMatch, with no probe, no
-  // counter, and no bind. (Forbidden-group conditions are excluded: an
-  // absent field there makes the group NOT hold, which lets the pattern
-  // match.) kCondVar* fields are included — in the contexts the fold
-  // guards (stage-0 create, suppressors) the env is empty, so those
-  // conditions need the field present to even be evaluated.
-  const auto need_presence = [this](const PatternCode& p) {
-    std::uint64_t need = 0;
-    for (const Instr* ip = prog_.code.data() + p.begin;
-         ip->op == Op::kCondConstEq || ip->op == Op::kCondConstNe ||
-         ip->op == Op::kCondVarEq || ip->op == Op::kCondVarNe;
-         ++ip) {
-      if (!(ip->flags & kFlagAllowAbsent)) need |= std::uint64_t{1} << ip->field;
-    }
-    return need;
-  };
-  st0_need_ = need_presence(prog_.stages[0].pattern);
+  // Required-presence masks: an event missing any such field provably
+  // fails ExecMatch, with no probe, no counter, and no bind.
+  st0_need_ = RequiredFieldMask(property_.stages[0].pattern);
   sup_guards_.clear();
-  for (const SuppressorCode& sup : prog_.suppressors)
+  for (std::size_t i = 0; i < prog_.suppressors.size(); ++i)
     sup_guards_.push_back(
-        SupGuard{sup.pattern.event_type, need_presence(sup.pattern)});
+        SupGuard{prog_.suppressors[i].pattern.event_type,
+                 RequiredFieldMask(property_.suppressors[i].pattern)});
 }
 
 // ------------------------------------------------------------- execution
@@ -677,10 +661,10 @@ void CompiledEngine::InitProbeSites() {
   }
   for (std::uint32_t k = 1; k < prog_.num_stages(); ++k) {
     const StageCode& st = prog_.stages[k];
-    if (st.link_count == 0) continue;
-    // A stage's keyed store is hash-probed only by the advance pass
-    // (aborts walk the store), so the consuming types are exactly the
-    // ones whose advance mask includes this stage.
+    if (st.link_count == 0 || st.kind != StageKind::kEvent) continue;
+    // Sites cover the advance pass's link probe only (abort probes project
+    // their own fields and hash inline), so the consuming types are
+    // exactly the ones whose advance mask includes this stage.
     EventTypeMask types = 0;
     for (std::size_t t = 0; t < kNumDataplaneEventTypes; ++t)
       if (prog_.advance_stage_mask[t] >> k & 1)
@@ -1022,28 +1006,63 @@ void CompiledEngine::RunPasses(const DataplaneEvent& event,
 void CompiledEngine::RunAbortPass(const DataplaneEvent& ev,
                                   std::uint64_t stage_mask) {
   const auto t = static_cast<std::size_t>(ev.type);
+  const std::uint64_t present = ev.fields.presence_mask();
   for (std::size_t k = 1; k < prog_.num_stages(); ++k) {
     if (!(stage_mask >> k & 1)) continue;
     const StageCode& st = prog_.stages[k];
+    // Per-event prefilter, before any instance is visited (see engine.cpp).
+    live_aborts_.clear();
+    bool walk = false;
+    for (const AbortCode& a : st.aborts) {
+      if (a.pattern.event_type >= 0 &&
+          static_cast<std::size_t>(a.pattern.event_type) != t)
+        continue;
+      if ((present & a.need) != a.need) continue;
+      if (!ExecMatch(a.guard, ev.fields, scratch_vars_.data(), 0)) continue;
+      live_aborts_.push_back(&a);
+      walk |= a.probe_count == 0;
+    }
+    if (live_aborts_.empty()) continue;
+
     victims_.clear();
     const auto consider = [&](std::uint32_t slot) {
       const std::uint64_t* rec = Rec(slot);
       if (StageOf(rec) != k) return;
       ++stats_.candidate_checks;
-      for (const PatternCode& a : st.aborts) {
-        if (a.event_type >= 0 && static_cast<std::size_t>(a.event_type) != t)
-          continue;
-        if (ExecMatch(a.begin, ev.fields, rec + kWVars, rec[kWBound])) {
+      ++stats_.abort_checks;
+      for (const AbortCode* a : live_aborts_) {
+        if (ExecMatch(a->pattern.begin, ev.fields, rec + kWVars,
+                      rec[kWBound])) {
           victims_.push_back(EvictionEntry{rec[kWId], slot});
           return;
         }
       }
     };
     const StageStore& store = stores_[k];
-    store.keyed.ForEach([&](const std::vector<std::uint32_t>& slots) {
-      for (const std::uint32_t slot : slots) consider(slot);
-    });
-    for (const std::uint32_t slot : store.scan) consider(slot);
+    if (walk) {
+      store.keyed.ForEach([&](const std::vector<std::uint32_t>& slots) {
+        for (const std::uint32_t slot : slots) consider(slot);
+      });
+      for (const std::uint32_t slot : store.scan) consider(slot);
+    } else {
+      // Only the buckets the surviving aborts project to; the scan list
+      // cannot match (engine.cpp's RunAbortPass has the argument).
+      probed_cells_.clear();
+      for (const AbortCode* a : live_aborts_) {
+        key_buf_.clear();
+        for (std::uint32_t i = 0; i < a->probe_count; ++i)
+          key_buf_.push_back(ev.fields.GetUnchecked(
+              static_cast<FieldId>(prog_.key_fields[a->probe_begin + i])));
+        const std::uint32_t cell = store.keyed.Find(
+            key_buf_.data(), static_cast<std::uint32_t>(key_buf_.size()));
+        if (cell == OpenMap::kNone ||
+            std::find(probed_cells_.begin(), probed_cells_.end(), cell) !=
+                probed_cells_.end())
+          continue;
+        probed_cells_.push_back(cell);
+        for (const std::uint32_t slot : store.keyed.slots(cell)) consider(slot);
+      }
+    }
 
     // Sorted by instance id — the engine-independent destruction order
     // both engines commit to (see engine.cpp's RunAbortPass).
@@ -1304,6 +1323,7 @@ void CompiledEngine::CollectInto(telemetry::Snapshot& snap,
   set("suppressed_creations", s.suppressed_creations);
   set("violations", s.violations);
   set("candidate_checks", s.candidate_checks);
+  set("abort_checks", s.abort_checks);
   set("timers_armed", s.timers_armed);
   set("timer_stale_pops", s.timer_stale_pops);
   snap.SetGauge(prefix + "peak_live", static_cast<std::int64_t>(s.peak_live));

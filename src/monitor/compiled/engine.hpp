@@ -109,7 +109,7 @@ class OpenMap {
   std::size_t size() const { return size_; }
   std::size_t capacity() const { return cells_.size(); }
   /// Visits every occupied cell (unspecified order — callers must not
-  /// derive observable ordering from it; see RunAbortPass).
+  /// derive observable ordering from it; see RunAbortPass's walk).
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     for (std::uint32_t i = 0; i < cells_.size(); ++i)
@@ -437,6 +437,8 @@ class CompiledEngine : public PropertyMonitor {
   std::vector<std::uint64_t> key_buf_;
   std::vector<std::uint32_t> cand_;
   std::vector<EvictionEntry> victims_;
+  std::vector<const AbortCode*> live_aborts_;  // abort-pass prefilter survivors
+  std::vector<std::uint32_t> probed_cells_;    // abort buckets already visited
 
   // --- batch-mode state (set by BeginBatch, cleared by EndBatch) ---
   std::vector<ProbeSite> sites_;

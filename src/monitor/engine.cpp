@@ -8,6 +8,26 @@
 #include "monitor/features.hpp"
 
 namespace swmon {
+namespace {
+
+/// The instance-independent part of MatchPattern for an abort: its event
+/// type, the presence of its required fields, and its constant conditions.
+/// False means the abort matches no instance, whatever its bindings.
+bool AbortMayMatch(const Pattern& a, std::uint64_t need,
+                   const DataplaneEvent& ev) {
+  if (a.event_type && *a.event_type != ev.type) return false;
+  if ((ev.fields.presence_mask() & need) != need) return false;
+  for (const Condition& c : a.conditions) {
+    if (c.rhs.kind != Term::Kind::kConst) continue;
+    const auto v = ev.fields.Get(c.field);
+    if (!v) continue;  // absent: holds when allow_absent, else `need` failed
+    const bool eq = (*v & c.mask) == (c.rhs.constant & c.mask);
+    if (eq != (c.op == CmpOp::kEq)) return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 MonitorEngine::MonitorEngine(Property property, MonitorConfig config)
     : property_(std::move(property)),
@@ -24,19 +44,17 @@ MonitorEngine::MonitorEngine(Property property, MonitorConfig config)
 
   interest_ = InterestSignature(property_);
   stores_.resize(property_.num_stages());
-  if (!config_.force_linear_store) {
-    for (std::size_t k = 1; k < property_.num_stages(); ++k) {
-      const Stage& st = property_.stages[k];
-      if (st.kind != StageKind::kEvent) continue;
-      for (const Condition& c : st.pattern.conditions) {
-        // Only full-width equality on a bound var is usable as a hash key.
-        // allow_absent conditions are excluded: a keyed lookup projects the
-        // event's field values, so an event *lacking* the field would never
-        // reach instances the condition nonetheless matches.
-        if (c.op == CmpOp::kEq && c.rhs.kind == Term::Kind::kVar &&
-            c.mask == ~std::uint64_t{0} && !c.allow_absent)
-          stores_[k].link.emplace_back(c.field, c.rhs.var);
-      }
+  for (std::size_t k = 1; k < property_.num_stages(); ++k) {
+    const Stage& st = property_.stages[k];
+    StageStore& store = stores_[k];
+    StageIndexPlan plan;
+    if (!config_.force_linear_store) plan = PlanStageIndex(property_, k);
+    store.link = std::move(plan.link);
+    for (std::size_t i = 0; i < st.aborts.size(); ++i) {
+      AbortIndex a;
+      a.need = RequiredFieldMask(st.aborts[i]);
+      if (!plan.abort_probes.empty()) a.probe = std::move(plan.abort_probes[i]);
+      store.aborts.push_back(std::move(a));
     }
   }
   for (const Binding& b : property_.stages[0].bindings)
@@ -383,33 +401,55 @@ void MonitorEngine::RunAbortPass(const DataplaneEvent& ev,
     if (!(stage_mask >> k & 1)) continue;
     const Stage& st = property_.stages[k];
     if (st.aborts.empty()) continue;
-    // Cheap prefilter: skip stages none of whose aborts can match this
-    // event type.
-    bool type_possible = false;
-    for (const Pattern& a : st.aborts) {
-      if (!a.event_type || *a.event_type == ev.type) {
-        type_possible = true;
-        break;
-      }
+    const StageStore& store = stores_[k];
+    // Per-event prefilter, before any instance is visited.
+    std::vector<std::size_t> live;  // indexes into st.aborts
+    bool walk = false;
+    for (std::size_t i = 0; i < st.aborts.size(); ++i) {
+      if (!AbortMayMatch(st.aborts[i], store.aborts[i].need, ev)) continue;
+      live.push_back(i);
+      walk |= store.aborts[i].probe.empty();
     }
-    if (!type_possible) continue;
+    if (live.empty()) continue;
 
     std::vector<std::uint64_t> victims;
     auto consider = [&](std::uint64_t id) {
       const auto it = instances_.find(id);
       if (it == instances_.end() || it->second.stage != k) return;
       ++stats_.candidate_checks;
-      for (const Pattern& a : st.aborts) {
-        if (MatchPattern(a, ev, it->second.env)) {
+      ++stats_.abort_checks;
+      for (const std::size_t i : live) {
+        if (MatchPattern(st.aborts[i], ev, it->second.env)) {
           victims.push_back(id);
           return;
         }
       }
     };
-    const StageStore& store = stores_[k];
-    for (const auto& [key, bucket] : store.keyed)
-      for (auto id : bucket) consider(id);
-    for (auto id : store.scan) consider(id);
+    if (walk) {
+      // Some surviving abort leaves a link variable free, so it can match
+      // anywhere in the stage (a link-down discharging every instance).
+      for (const auto& [key, bucket] : store.keyed)
+        for (auto id : bucket) consider(id);
+      for (auto id : store.scan) consider(id);
+    } else {
+      // Every surviving abort pins the whole link key, so its victims sit
+      // in the one bucket its fields project to. Scan-list instances leave
+      // a link variable unbound, and a condition on an unbound variable
+      // never holds, so they are skipped.
+      std::vector<const std::vector<std::uint64_t>*> visited;
+      for (const std::size_t i : live) {
+        FlowKey key;
+        for (const FieldId f : store.aborts[i].probe)
+          key.values.push_back(ev.fields.GetUnchecked(f));
+        const auto it = store.keyed.find(key);
+        if (it == store.keyed.end() ||
+            std::find(visited.begin(), visited.end(), &it->second) !=
+                visited.end())
+          continue;
+        visited.push_back(&it->second);
+        for (auto id : it->second) consider(id);
+      }
+    }
 
     // The victim set was gathered in unordered_map bucket order; sort so
     // destruction order is deterministic and engine-independent (part of
@@ -595,6 +635,7 @@ void MonitorEngine::CollectInto(telemetry::Snapshot& snap,
   set("suppressed_creations", s.suppressed_creations);
   set("violations", s.violations);
   set("candidate_checks", s.candidate_checks);
+  set("abort_checks", s.abort_checks);
   set("timers_armed", s.timers_armed);
   set("timer_stale_pops", s.timer_stale_pops);
   snap.SetGauge(prefix + "peak_live", static_cast<std::int64_t>(s.peak_live));

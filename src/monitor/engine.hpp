@@ -20,8 +20,11 @@
 // candidates with one hash probe (this is the "static Varanus" /
 // register-friendly layout Sec 3.3 argues for). Instances whose link
 // variables are not yet bound — wandering match — and stages with no link
-// conditions — multiple match — fall back to a per-stage scan list.
-// bench_store ablates indexed vs. forced-linear lookup.
+// conditions — multiple match — fall back to a per-stage scan list. An
+// abort that pins every link variable probes the same store with its own
+// fields; a timeout stage is keyed on the variables all its aborts pin
+// (StageIndexPlan, spec.hpp). bench_store ablates indexed vs. forced-linear
+// lookup.
 #pragma once
 
 #include <cstdint>
@@ -129,9 +132,16 @@ class MonitorEngine : public PropertyMonitor {
     std::vector<ProvenanceEvent> history;  // kFull only
   };
 
+  /// Per-abort lookup plan (see StageIndexPlan).
+  struct AbortIndex {
+    std::uint64_t need = 0;      // RequiredFieldMask of the abort
+    std::vector<FieldId> probe;  // link-key projection; empty = walk
+  };
+
   /// Per-stage candidate index (see file comment).
   struct StageStore {
-    std::vector<std::pair<FieldId, VarId>> link;  // field == $var conditions
+    std::vector<std::pair<FieldId, VarId>> link;  // StageIndexPlan::link
+    std::vector<AbortIndex> aborts;               // parallel to Stage::aborts
     std::unordered_map<FlowKey, std::vector<std::uint64_t>, FlowKeyHash> keyed;
     std::vector<std::uint64_t> scan;  // unkeyed / linear-mode instances
   };

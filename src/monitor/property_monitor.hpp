@@ -136,8 +136,9 @@ struct MonitorConfig {
   /// EvictionPolicy::kCreationOrder.
   [[deprecated("use MonitorConfig::eviction (EvictionConfig) instead")]]
   std::size_t max_instances = 0;
-  /// Disables the link-key index (every lookup scans all instances at the
-  /// stage). Exists for the store ablation bench; semantics are identical.
+  /// Disables the link-key index (every advance and abort lookup scans all
+  /// instances at the stage). Exists for the store ablation bench;
+  /// semantics are identical.
   bool force_linear_store = false;
   /// ABLATION (unsound on purpose): re-arm a pending timeout-action window
   /// whenever the observation preceding it re-fires. This is the naive
@@ -200,6 +201,7 @@ struct MonitorStats {
   std::uint64_t suppressed_creations = 0;
   std::uint64_t violations = 0;
   std::uint64_t candidate_checks = 0;  // instances examined across lookups
+  std::uint64_t abort_checks = 0;      // the abort pass's share of those
   std::size_t peak_live = 0;
   // TimerSet mirrors. Filled on demand by CollectInto() straight from the
   // TimerSet, so they can never be read stale.

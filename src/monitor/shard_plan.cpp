@@ -24,18 +24,6 @@ std::uint64_t ShardHash(const FieldMap& fields,
   return h;
 }
 
-namespace {
-
-/// The keyed-store shape (see MonitorEngine's constructor): an equality
-/// whose projection from the event provably equals the instance's variable
-/// whenever the condition holds.
-bool IsIndexableEq(const Condition& c) {
-  return c.op == CmpOp::kEq && c.rhs.kind == Term::Kind::kVar &&
-         c.mask == ~std::uint64_t{0} && !c.allow_absent;
-}
-
-}  // namespace
-
 std::optional<ShardPlan> BuildShardPlan(const Property& p,
                                         const MonitorConfig& config,
                                         std::string* why) {

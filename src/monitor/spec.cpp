@@ -1,5 +1,6 @@
 #include "monitor/spec.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace swmon {
@@ -106,6 +107,57 @@ std::string Property::Validate() const {
       return "suppressor key width differs from stage-0 suppression key";
   }
   return "";
+}
+
+bool IsIndexableEq(const Condition& c) {
+  return c.op == CmpOp::kEq && c.rhs.kind == Term::Kind::kVar &&
+         c.mask == ~std::uint64_t{0} && !c.allow_absent;
+}
+
+std::uint64_t RequiredFieldMask(const Pattern& p) {
+  std::uint64_t need = 0;
+  for (const Condition& c : p.conditions)
+    if (!c.allow_absent)
+      need |= std::uint64_t{1} << static_cast<unsigned>(c.field);
+  return need;
+}
+
+StageIndexPlan PlanStageIndex(const Property& p, std::size_t k) {
+  const Stage& st = p.stages[k];
+  // The field of the first indexable equality pinning `var`, if any.
+  const auto pin = [](const Pattern& pat, VarId var) -> std::optional<FieldId> {
+    for (const Condition& c : pat.conditions)
+      if (IsIndexableEq(c) && c.rhs.var == var) return c.field;
+    return std::nullopt;
+  };
+
+  StageIndexPlan plan;
+  if (st.kind == StageKind::kEvent) {
+    for (const Condition& c : st.pattern.conditions)
+      if (IsIndexableEq(c)) plan.link.emplace_back(c.field, c.rhs.var);
+  } else if (!st.aborts.empty()) {
+    for (const Condition& c : st.aborts[0].conditions) {
+      if (!IsIndexableEq(c)) continue;
+      const bool pinned_by_all = std::all_of(
+          st.aborts.begin(), st.aborts.end(),
+          [&](const Pattern& a) { return pin(a, c.rhs.var).has_value(); });
+      if (pinned_by_all) plan.link.emplace_back(c.field, c.rhs.var);
+    }
+  }
+
+  plan.abort_probes.resize(st.aborts.size());
+  if (plan.link.empty()) return plan;
+  for (std::size_t i = 0; i < st.aborts.size(); ++i) {
+    std::vector<FieldId> probe;
+    for (const auto& [field, var] : plan.link) {
+      const std::optional<FieldId> f = pin(st.aborts[i], var);
+      if (!f) break;
+      probe.push_back(*f);
+    }
+    if (probe.size() == plan.link.size())
+      plan.abort_probes[i] = std::move(probe);
+  }
+  return plan;
 }
 
 std::string Property::ToString() const {

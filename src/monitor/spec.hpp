@@ -195,4 +195,39 @@ struct Property {
   bool operator==(const Property&) const = default;
 };
 
+/// The one condition shape a hash lookup can serve: a full-width
+/// `field == $var` without allow_absent. Whenever it holds, the event's
+/// field value equals the variable, so projecting the field finds the
+/// instance by key. (An allow_absent condition also holds on events that
+/// lack the field, which a keyed lookup would never reach.)
+bool IsIndexableEq(const Condition& c);
+
+/// Presence mask (bit i = FieldId i) of the fields a pattern's required,
+/// non-allow_absent conditions read: an event lacking any of them fails the
+/// pattern under every environment. Forbidden-group fields are excluded (an
+/// absent field there makes the group not hold, which lets the pattern
+/// match).
+std::uint64_t RequiredFieldMask(const Pattern& p);
+
+/// How a later stage's instances are filed and found; both engines build
+/// their keyed stores from this.
+struct StageIndexPlan {
+  /// The link key, as (event field, variable) pairs in key order. Instances
+  /// with every link variable bound are hashed under those values; the rest
+  /// (and every instance when `link` is empty) wait in a scan list. An event
+  /// stage links its pattern's indexable equalities, and the advance pass
+  /// projects their fields. A timeout stage has no pattern: it links the
+  /// variables every one of its aborts pins, with the first abort's fields.
+  std::vector<std::pair<FieldId, VarId>> link;
+  /// Parallel to Stage::aborts: the event fields that project the link key,
+  /// in link order, when the abort pins every link variable with an
+  /// indexable equality — its victims then all sit in that one bucket.
+  /// Empty when the abort leaves a link variable free (or `link` is empty);
+  /// such an abort must walk the whole stage.
+  std::vector<std::vector<FieldId>> abort_probes;
+};
+
+/// Plans stage `k` (>= 1) of a validated property.
+StageIndexPlan PlanStageIndex(const Property& p, std::size_t k);
+
 }  // namespace swmon

@@ -90,6 +90,11 @@ void ExpectEnginesAgree(const PropertyMonitor& interpreted,
   telemetry::Snapshot sa, sb;
   interpreted.CollectInto(sa, "e");
   compiled.CollectInto(sb, "e");
+  // The abort pass's share of the visits is published by both engines.
+  ASSERT_TRUE(sa.Has("monitor.engine.e.abort_checks")) << label;
+  EXPECT_LE(sa.counter("monitor.engine.e.abort_checks"),
+            sa.counter("monitor.engine.e.candidate_checks"))
+      << label;
   for (const auto& [name, sample] : sa.samples()) {
     ASSERT_TRUE(sb.Has(name)) << label << " compiled missing " << name;
     EXPECT_TRUE(sample == sb.samples().at(name)) << label << " at " << name;

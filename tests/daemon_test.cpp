@@ -388,6 +388,65 @@ TEST(TraceTailerTest, RejectsNonTraceFile) {
   EXPECT_FALSE(tailer.error().empty());
 }
 
+TEST(TraceTailerTest, PollHandsOutAtMostTheBudgetAndTheRestInOrder) {
+  // A file several read chunks long: a budgeted poll must neither exceed
+  // its budget nor pull the whole backlog into memory.
+  const std::string path = TempPath("tailer_budget.swmt");
+  std::remove(path.c_str());
+  constexpr int kEvents = 5000;
+  TraceFileWriter writer;
+  std::string error;
+  ASSERT_TRUE(writer.Open(path, &error)) << error;
+  for (int i = 0; i < kEvents; ++i)
+    writer.Append(MakeEvent(1000 * (i + 1), 9, 80));
+  writer.Close();
+  const auto file_bytes = std::filesystem::file_size(path);
+
+  TraceTailer tailer(path);
+  std::vector<DataplaneEvent> out;
+  ASSERT_TRUE(tailer.Poll(out, 4));
+  EXPECT_EQ(out.size(), 4u);
+  EXPECT_LT(tailer.offset(), file_bytes) << "read past what the budget needed";
+
+  while (out.size() < kEvents) {
+    const std::size_t before = out.size();
+    ASSERT_TRUE(tailer.Poll(out, 1000));
+    ASSERT_LE(out.size() - before, 1000u);
+    ASSERT_GT(out.size(), before) << "stalled at " << before;
+  }
+  ASSERT_EQ(out.size(), static_cast<std::size_t>(kEvents));
+  for (std::size_t i = 0; i < out.size(); ++i)
+    ASSERT_EQ(out[i].time.nanos(), static_cast<std::int64_t>(1000 * (i + 1)));
+  EXPECT_EQ(tailer.offset(), file_bytes);
+  ASSERT_TRUE(tailer.Poll(out, 1000));
+  EXPECT_EQ(out.size(), static_cast<std::size_t>(kEvents));
+}
+
+TEST(SocketSourceTest, PollHandsOutAtMostTheBudgetAndTheRestInOrder) {
+  SocketSourceOptions opts;
+  opts.tcp_enabled = true;
+  SocketSource src(opts);
+  std::string error;
+  ASSERT_TRUE(src.Start(&error)) << error;
+  std::string lines;
+  for (int i = 1; i <= 10; ++i)
+    lines += "arrival " + std::to_string(1000 * i) + " ip_src=7 l4_dst=80\n";
+  ASSERT_TRUE(SendToTcp(src.tcp_port(), lines));
+  WaitForCount([&] { return src.events_ingested(); }, 10);
+  ASSERT_EQ(src.events_ingested(), 10u);
+
+  std::vector<DataplaneEvent> out;
+  EXPECT_TRUE(src.Poll(out, 3));
+  EXPECT_EQ(out.size(), 3u);
+  EXPECT_TRUE(src.Poll(out, 3));
+  EXPECT_EQ(out.size(), 6u);
+  EXPECT_TRUE(src.Poll(out));  // unlimited: the remaining four
+  ASSERT_EQ(out.size(), 10u);
+  for (std::size_t i = 0; i < out.size(); ++i)
+    EXPECT_EQ(out[i].time.nanos(), static_cast<std::int64_t>(1000 * (i + 1)));
+  src.Stop();
+}
+
 // ------------------------------------------------------------------- ring
 
 TEST(ViolationRingTest, DropsOldestAndCounts) {

@@ -2,7 +2,14 @@
 // through the packet parser, the SPL parser, and the monitor engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+#include <string>
+#include <tuple>
+
 #include "common/rng.hpp"
+#include "monitor/compiled/engine.hpp"
 #include "monitor/engine.hpp"
 #include "packet/builder.hpp"
 #include "packet/parser.hpp"
@@ -153,35 +160,100 @@ TEST(EngineFuzz, RandomEventSoupNeverCrashesAnyCatalogProperty) {
   }
 }
 
+/// Everything CollectInto publishes outside the compiled engine's probe
+/// telemetry (which the interpreter has no counterpart for), minus `skip`.
+std::map<std::string, telemetry::Sample> SharedSamples(
+    const PropertyMonitor& m, const std::set<std::string>& skip = {}) {
+  telemetry::Snapshot snap;
+  m.CollectInto(snap, "e");
+  std::map<std::string, telemetry::Sample> out;
+  for (const auto& [name, sample] : snap.samples()) {
+    if (name.rfind("monitor.compiled.", 0) == 0) continue;
+    if (skip.contains(name.substr(name.rfind('.') + 1))) continue;
+    out.emplace(name, sample);
+  }
+  return out;
+}
+
+void ExpectSameViolations(std::vector<Violation> a, std::vector<Violation> b,
+                          bool sort_within_time, const std::string& label) {
+  // Instances completing on the same event report in candidate order,
+  // which is store layout; (time, id) is the layout-free order.
+  if (sort_within_time) {
+    const auto by_time_id = [](const Violation& x, const Violation& y) {
+      return std::tie(x.time, x.instance_id) < std::tie(y.time, y.instance_id);
+    };
+    std::sort(a.begin(), a.end(), by_time_id);
+    std::sort(b.begin(), b.end(), by_time_id);
+  }
+  ASSERT_EQ(a.size(), b.size()) << label;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].time, b[i].time) << label << " [" << i << "]";
+    EXPECT_EQ(a[i].instance_id, b[i].instance_id) << label << " [" << i << "]";
+    EXPECT_EQ(a[i].trigger_stage_index, b[i].trigger_stage_index)
+        << label << " [" << i << "]";
+    EXPECT_EQ(a[i].bindings, b[i].bindings) << label << " [" << i << "]";
+  }
+}
+
 TEST(EngineFuzz, IndexedAndLinearAgreeOnTheSoup) {
-  Rng rng(123);
-  std::vector<DataplaneEvent> events;
-  SimTime t = SimTime::Zero();
-  for (int i = 0; i < 1500; ++i) {
-    DataplaneEvent ev;
-    t = t + Duration::Millis(1 + static_cast<std::int64_t>(rng.NextBelow(50)));
-    ev.time = t;
-    ev.type = rng.NextBool(0.5) ? DataplaneEventType::kArrival
-                                : DataplaneEventType::kEgress;
-    for (std::size_t f = 0; f < kNumFieldIds; ++f) {
-      if (rng.NextBool(0.5))
-        ev.fields.Set(static_cast<FieldId>(f), rng.NextBelow(6));
+  // Three parties per property and seed: the interpreter with its keyed
+  // stores, the interpreter scanning every stage (force_linear_store), and
+  // the compiled engine. Indexing may change only how many instances the
+  // passes visit; the compiled engine must match the indexed interpreter
+  // exactly, visits included.
+  std::size_t total_violations = 0;
+  for (const std::uint64_t seed : {123ull, 456ull, 789ull}) {
+    Rng rng(seed);
+    std::vector<DataplaneEvent> events;
+    SimTime t = SimTime::Zero();
+    for (int i = 0; i < 1500; ++i) {
+      DataplaneEvent ev;
+      t = t +
+          Duration::Millis(1 + static_cast<std::int64_t>(rng.NextBelow(50)));
+      ev.time = t;
+      const auto roll = rng.NextBelow(10);
+      ev.type = roll < 4   ? DataplaneEventType::kArrival
+                : roll < 9 ? DataplaneEventType::kEgress
+                           : DataplaneEventType::kLinkStatus;
+      for (std::size_t f = 0; f < kNumFieldIds; ++f) {
+        if (rng.NextBool(0.5))
+          ev.fields.Set(static_cast<FieldId>(f), rng.NextBelow(6));
+      }
+      events.push_back(std::move(ev));
     }
-    events.push_back(std::move(ev));
-  }
-  for (const auto& entry : BuildCatalog()) {
-    MonitorConfig linear;
-    linear.force_linear_store = true;
-    MonitorEngine a(entry.property);
-    MonitorEngine b(entry.property, linear);
-    for (const auto& ev : events) {
-      a.ProcessEvent(ev);
-      b.ProcessEvent(ev);
+    const SimTime end = t + Duration::Seconds(300);
+    for (const auto& entry : BuildCatalog()) {
+      const std::string label =
+          entry.property.name + " seed=" + std::to_string(seed);
+      MonitorConfig linear;
+      linear.force_linear_store = true;
+      MonitorEngine indexed(entry.property);
+      MonitorEngine scan(entry.property, linear);
+      auto compiled = CreatePropertyMonitor(
+          entry.property, MonitorConfig{}.WithEngine(EngineKind::kCompiled));
+      ASSERT_NE(dynamic_cast<CompiledEngine*>(compiled.get()), nullptr);
+      for (const auto& ev : events) {
+        indexed.ProcessEvent(ev);
+        scan.ProcessEvent(ev);
+        compiled->ProcessEvent(ev);
+      }
+      indexed.AdvanceTime(end);
+      scan.AdvanceTime(end);
+      compiled->AdvanceTime(end);
+
+      ExpectSameViolations(indexed.violations(), scan.violations(),
+                           /*sort_within_time=*/true, label + " linear");
+      ExpectSameViolations(indexed.violations(), compiled->violations(),
+                           /*sort_within_time=*/false, label + " compiled");
+      const std::set<std::string> visits = {"candidate_checks", "abort_checks"};
+      EXPECT_EQ(SharedSamples(indexed, visits), SharedSamples(scan, visits))
+          << label;
+      EXPECT_EQ(SharedSamples(indexed), SharedSamples(*compiled)) << label;
+      total_violations += indexed.violations().size();
     }
-    EXPECT_EQ(a.violations().size(), b.violations().size())
-        << entry.property.name;
-    EXPECT_EQ(a.live_instances(), b.live_instances()) << entry.property.name;
   }
+  EXPECT_GT(total_violations, 0u);
 }
 
 }  // namespace

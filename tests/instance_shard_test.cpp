@@ -256,6 +256,10 @@ TEST(InstanceShardTest, SingleHotPropertySpreadsInstancesAcrossReplicas) {
   ParallelConfig cfg;
   cfg.workers = 4;
   cfg.batch_capacity = 128;
+  // A pool cap (ring_capacity + 2 = 10 batches) below the ~47 batches the
+  // stream fills forces reuse whatever the thread timing; with the default
+  // 66-batch cap the producer could finish before any worker freed one.
+  cfg.ring_capacity = 8;
   cfg.shard_mode = ShardMode::kInstance;
   ParallelMonitorSet parallel(cfg);
   for (const Property& p : std::vector<Property>{hot}) parallel.Add(p);
@@ -281,7 +285,7 @@ TEST(InstanceShardTest, SingleHotPropertySpreadsInstancesAcrossReplicas) {
   EXPECT_EQ(spread_total, mid.gauge("monitor.engine.hot-pairs.live_instances"));
 
   // Steady state recycles batches instead of allocating: the pool never
-  // grows past its cap and reuse dominates.
+  // grows past its cap, so every batch past the cap is a reuse.
   EXPECT_LE(mid.counter("monitor.parallel.batch_pool.allocated"),
             cfg.ring_capacity + 2);
   EXPECT_GT(mid.counter("monitor.parallel.batch_pool.reused"), 0u);

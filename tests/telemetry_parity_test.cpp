@@ -107,6 +107,13 @@ TEST_P(SnapshotParity, MergedSnapshotIdenticalToSerial) {
   EXPECT_EQ(want.counter("monitor.engine.*.violations"),
             got.counter("monitor.engine.*.violations"));
   EXPECT_GT(got.counter("monitor.engine.*.events"), 0u);
+  // Abort-pass visits, per property and in sum, and the soup reaches them.
+  for (const Property& p : props)
+    ASSERT_TRUE(got.Has("monitor.engine." + p.name + ".abort_checks"))
+        << p.name;
+  EXPECT_GT(want.counter("monitor.engine.*.abort_checks"), 0u);
+  EXPECT_EQ(want.counter("monitor.engine.*.abort_checks"),
+            got.counter("monitor.engine.*.abort_checks"));
 }
 
 INSTANTIATE_TEST_SUITE_P(Workers, SnapshotParity,
