@@ -171,9 +171,7 @@ bool TraceTailer::Poll(std::vector<DataplaneEvent>& out,
 // ------------------------------------------------------- SocketSource
 
 SocketSource::SocketSource(SocketSourceOptions options)
-    : options_(std::move(options)) {
-  if (options_.queue_capacity == 0) options_.queue_capacity = 1;
-}
+    : options_(std::move(options)) {}
 
 SocketSource::~SocketSource() { Stop(); }
 
@@ -266,16 +264,35 @@ void SocketSource::AcceptLoop(int listen_fd) {
   }
 }
 
-bool SocketSource::Enqueue(DataplaneEvent ev) {
-  std::unique_lock<std::mutex> lock(mu_);
-  space_cv_.wait(lock, [this] {
-    return queue_.size() < options_.queue_capacity ||
-           stopping_.load(std::memory_order_acquire);
-  });
-  if (stopping_.load(std::memory_order_acquire)) return false;
-  queue_.push_back(std::move(ev));
-  events_ingested_.fetch_add(1, std::memory_order_relaxed);
-  return true;
+template <typename Fill>
+bool SocketSource::Publish(Fill&& fill) {
+  std::lock_guard<std::mutex> turn(producer_mu_);
+  for (;;) {
+    std::uint64_t room;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      space_cv_.wait(lock, [this] {
+        return tail_ - head_ < kRingSlots ||
+               stopping_.load(std::memory_order_acquire);
+      });
+      if (stopping_.load(std::memory_order_acquire)) return false;
+      if (!ring_) ring_ = std::make_unique<DataplaneEvent[]>(kRingSlots);
+      room = kRingSlots - (tail_ - head_);
+    }
+    // Decode outside mu_: Poll reads no slot past tail_, and only this
+    // reader moves tail_.
+    std::uint64_t n = 0;
+    bool more = true;
+    while (n < room && (more = fill(ring_[(tail_ + n) % kRingSlots]))) ++n;
+    if (n != 0) {
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        tail_ += n;
+      }
+      events_ingested_.fetch_add(n, std::memory_order_relaxed);
+    }
+    if (!more) return true;
+  }
 }
 
 void SocketSource::ReadConnection(int fd) {
@@ -285,47 +302,73 @@ void SocketSource::ReadConnection(int fd) {
 
   // Sniff the first bytes: an SWMT header selects the binary trace
   // protocol, anything else is treated as the text line protocol.
-  std::string pending;
-  TraceEventDecoder decoder;
   enum class Mode { kUnknown, kBinary, kText } mode = Mode::kUnknown;
+  std::string pending;  // bytes sniffed so far, then the unterminated line
+  TraceEventDecoder decoder;
   bool drop = false;
+
+  // Publishes every complete line in `pending` and keeps the unterminated
+  // rest. False on a malformed line; the lines before it are published.
+  const auto publish_lines = [&] {
+    std::size_t begin = 0;
+    bool bad = false;
+    // Without a complete line there is nothing to publish: take no turn.
+    if (pending.find('\n') != std::string::npos) {
+      drop = !Publish([&](DataplaneEvent& slot) {
+        std::size_t nl;
+        while (!bad && (nl = pending.find('\n', begin)) != std::string::npos) {
+          const std::string line = pending.substr(begin, nl - begin);
+          begin = nl + 1;
+          std::string line_error;
+          if (ParseEventLine(line, slot, &line_error)) return true;
+          if (!line_error.empty()) {
+            SWMON_LOG_WARN("daemon", "socket: bad event line: %s",
+                           line_error.c_str());
+            bad = true;
+          }
+        }
+        return false;
+      });
+      pending.erase(0, begin);
+    }
+    return !bad;
+  };
+
   char chunk[1 << 16];
   ssize_t r;
   while (!drop && (r = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
-    pending.append(chunk, static_cast<std::size_t>(r));
+    const auto n = static_cast<std::size_t>(r);
+    if (mode == Mode::kBinary) {
+      decoder.Feed(reinterpret_cast<const std::uint8_t*>(chunk), n);
+    } else {
+      pending.append(chunk, n);
+    }
     if (mode == Mode::kUnknown) {
-      if (pending.size() < 4) {
-        if (std::memcmp(pending.data(), kTraceMagic, pending.size()) == 0)
-          continue;  // may still become a binary header
+      if (std::memcmp(pending.data(), kTraceMagic,
+                      std::min<std::size_t>(pending.size(), 4)) != 0) {
         mode = Mode::kText;
-      } else if (std::memcmp(pending.data(), kTraceMagic, 4) == 0) {
-        if (pending.size() < kTraceHeaderBytes) continue;
+      } else if (pending.size() < kTraceHeaderBytes) {
+        continue;  // may still become a binary header
+      } else {
+        const auto* bytes =
+            reinterpret_cast<const std::uint8_t*>(pending.data());
         std::string header_error;
-        if (!CheckStreamHeader(
-                reinterpret_cast<const std::uint8_t*>(pending.data()),
-                &header_error)) {
+        if (!CheckStreamHeader(bytes, &header_error)) {
           decode_errors_.fetch_add(1, std::memory_order_relaxed);
           protocol_errors_.fetch_add(1, std::memory_order_relaxed);
           break;
         }
-        pending.erase(0, kTraceHeaderBytes);
+        decoder.Feed(bytes + kTraceHeaderBytes,
+                     pending.size() - kTraceHeaderBytes);
+        pending.clear();
         mode = Mode::kBinary;
-      } else {
-        mode = Mode::kText;
       }
     }
     if (mode == Mode::kBinary) {
-      decoder.Feed(reinterpret_cast<const std::uint8_t*>(pending.data()),
-                   pending.size());
-      pending.clear();
-      DataplaneEvent ev;
-      TraceEventDecoder::Result res;
-      while ((res = decoder.Next(ev)) == TraceEventDecoder::Result::kEvent) {
-        if (!Enqueue(std::move(ev))) {
-          drop = true;
-          break;
-        }
-      }
+      auto res = TraceEventDecoder::Result::kNeedMore;
+      drop = !Publish([&](DataplaneEvent& slot) {
+        return (res = decoder.Next(slot)) == TraceEventDecoder::Result::kEvent;
+      });
       if (res == TraceEventDecoder::Result::kCorrupt) {
         SWMON_LOG_WARN("daemon", "socket: corrupt event stream: %s",
                        decoder.error().c_str());
@@ -333,30 +376,16 @@ void SocketSource::ReadConnection(int fd) {
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);
         drop = true;
       }
-    } else {
-      std::size_t nl;
-      while (!drop && (nl = pending.find('\n')) != std::string::npos) {
-        const std::string line = pending.substr(0, nl);
-        pending.erase(0, nl + 1);
-        DataplaneEvent ev;
-        std::string line_error;
-        if (ParseEventLine(line, ev, &line_error)) {
-          if (!Enqueue(std::move(ev))) drop = true;
-        } else if (!line_error.empty()) {
-          SWMON_LOG_WARN("daemon", "socket: bad event line: %s",
-                         line_error.c_str());
-          decode_errors_.fetch_add(1, std::memory_order_relaxed);
-          protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-          drop = true;  // a malformed line poisons framing — drop the conn
-        }
-      }
-      if (!drop && pending.size() > kMaxTextLine) {
-        SWMON_LOG_WARN("daemon", "socket: text line exceeds %zu bytes",
-                       kMaxTextLine);
-        decode_errors_.fetch_add(1, std::memory_order_relaxed);
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        drop = true;
-      }
+    } else if (!publish_lines()) {
+      decode_errors_.fetch_add(1, std::memory_order_relaxed);
+      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      drop = true;  // a malformed line poisons framing — drop the conn
+    } else if (!drop && pending.size() > kMaxTextLine) {
+      SWMON_LOG_WARN("daemon", "socket: text line exceeds %zu bytes",
+                     kMaxTextLine);
+      decode_errors_.fetch_add(1, std::memory_order_relaxed);
+      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      drop = true;
     }
   }
   // Clean close with bytes still pending: either a final text line the
@@ -372,22 +401,14 @@ void SocketSource::ReadConnection(int fd) {
         decode_errors_.fetch_add(1, std::memory_order_relaxed);
       }
     } else if (!pending.empty()) {
-      if (mode == Mode::kUnknown &&
-          std::memcmp(pending.data(), kTraceMagic,
-                      std::min<std::size_t>(pending.size(), 4)) == 0) {
+      if (mode == Mode::kUnknown) {
         // 1..15 bytes that are a proper prefix of a binary header.
         SWMON_LOG_WARN("daemon", "socket: stream closed mid-header");
         decode_errors_.fetch_add(1, std::memory_order_relaxed);
       } else {
-        DataplaneEvent ev;
-        std::string line_error;
-        if (ParseEventLine(pending, ev, &line_error)) {
-          Enqueue(std::move(ev));
-        } else if (!line_error.empty()) {
-          SWMON_LOG_WARN("daemon", "socket: bad final event line: %s",
-                         line_error.c_str());
+        pending += '\n';
+        if (!publish_lines())
           decode_errors_.fetch_add(1, std::memory_order_relaxed);
-        }
       }
     }
   }
@@ -400,15 +421,17 @@ void SocketSource::ReadConnection(int fd) {
 
 bool SocketSource::Poll(std::vector<DataplaneEvent>& out,
                         std::size_t max_events) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto n =
-      static_cast<std::ptrdiff_t>(std::min(max_events, queue_.size()));
-  if (n != 0) {
-    out.insert(out.end(), std::make_move_iterator(queue_.begin()),
-               std::make_move_iterator(queue_.begin() + n));
-    queue_.erase(queue_.begin(), queue_.begin() + n);
-    space_cv_.notify_all();
-  }
+  std::unique_lock<std::mutex> lock(mu_);
+  const std::uint64_t n = std::min<std::uint64_t>(max_events, tail_ - head_);
+  if (n == 0) return true;
+  const std::size_t first = head_ % kRingSlots;
+  const std::size_t run = std::min<std::size_t>(n, kRingSlots - first);
+  const DataplaneEvent* slots = ring_.get();
+  out.insert(out.end(), slots + first, slots + first + run);
+  out.insert(out.end(), slots, slots + (n - run));
+  head_ += n;
+  lock.unlock();
+  space_cv_.notify_one();
   return true;
 }
 

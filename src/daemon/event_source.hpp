@@ -15,10 +15,10 @@
 //     header followed by wire-encoded events, so `cat trace.swmt | nc`
 //     works unmodified — or (b) a newline-delimited text protocol
 //     (`arrival <time_ns> [key=value]...`) for hand-driven testing.
-//     Reader threads decode and queue; the daemon's pump thread drains via
-//     Poll(). The queue is bounded: a producer faster than the monitors
-//     blocks its connection (TCP backpressure) instead of growing daemon
-//     memory.
+//     Reader threads decode each received chunk straight into a fixed ring
+//     of event slots; the daemon's pump thread drains it via Poll(). The
+//     ring is bounded: a producer faster than the monitors blocks its
+//     connection (TCP backpressure) instead of growing daemon memory.
 //
 // Both sources present one contract: Poll(out, max_events) appends up to
 // max_events newly available events, leaving the rest for later polls in
@@ -29,7 +29,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -101,12 +100,17 @@ struct SocketSourceOptions {
   std::uint16_t tcp_port = 0;
   /// Listen on this Unix socket path when non-empty.
   std::string unix_path;
-  /// Decoded events buffered between Poll()s before readers block.
-  std::size_t queue_capacity = 1 << 16;
 };
 
 class SocketSource : public EventSource {
  public:
+  /// Decoded events held between the readers and Poll before readers
+  /// block: two rounds of the pump's default 8,192-event budget, 5.2 MB at
+  /// 320 B/event. Poll copies a round out, so one round's worth of slots
+  /// is free for the readers while the pump delivers; any deeper backlog
+  /// waits in the kernel socket buffer at ~97 B/event instead of 320.
+  static constexpr std::size_t kRingSlots = 16384;
+
   explicit SocketSource(SocketSourceOptions options);
   ~SocketSource() override;
 
@@ -141,9 +145,14 @@ class SocketSource : public EventSource {
  private:
   void AcceptLoop(int listen_fd);
   void ReadConnection(int fd);
-  /// Blocks while the queue is at capacity (ingest backpressure). Returns
-  /// false when the source is stopping.
-  bool Enqueue(DataplaneEvent ev);
+  /// Decodes events straight into free ring slots and publishes them as
+  /// runs, one lock per run: `fill(slot)` writes the next event into
+  /// `slot` and returns true, or returns false when it has no complete
+  /// event left. Readers take turns, so one call's events stay contiguous
+  /// and in order. Blocks while the ring is full (ingest backpressure);
+  /// returns false when the source is stopping.
+  template <typename Fill>
+  bool Publish(Fill&& fill);
 
   SocketSourceOptions options_;
   std::string name_ = "socket";
@@ -156,9 +165,18 @@ class SocketSource : public EventSource {
   std::vector<std::thread> accept_threads_;
   std::atomic<bool> stopping_{false};
 
+  /// Held by the reader whose turn it is to decode into the ring; the
+  /// free slots [tail_, head_ + kRingSlots) are its to write without mu_.
+  std::mutex producer_mu_;
+
   std::mutex mu_;
-  std::condition_variable space_cv_;
-  std::deque<DataplaneEvent> queue_;
+  std::condition_variable space_cv_;  // the turn holder waits for free slots
+  /// kRingSlots events, allocated and zero-filled on the first Publish
+  /// rather than in Start. Published slots [head_, tail_) belong to Poll.
+  /// ring_ and tail_ change only under both mutexes, head_ under mu_.
+  std::unique_ptr<DataplaneEvent[]> ring_;
+  std::uint64_t head_ = 0;  // next slot Poll hands out
+  std::uint64_t tail_ = 0;  // one past the last published slot
   std::vector<int> connection_fds_;          // guarded by mu_
   std::vector<std::thread> reader_threads_;  // guarded by mu_
 

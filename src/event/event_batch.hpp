@@ -106,7 +106,7 @@ class BatchPool {
   SlabBatch<T>* AcquireBlocking() {
     SlabBatch<T>* b = TryAcquire();
     if (b != nullptr) return b;
-    ++exhausted_waits_;
+    exhausted_waits_.fetch_add(1, std::memory_order_relaxed);
     for (;;) {
       std::this_thread::yield();
       if ((b = TryAcquire()) != nullptr) return b;
@@ -125,10 +125,12 @@ class BatchPool {
                                                std::memory_order_relaxed));
   }
 
-  // --- producer-thread telemetry ---
+  // --- producer-thread telemetry (exhausted_waits: any thread) ---
   std::uint64_t reused() const { return reused_; }
   std::uint64_t allocated() const { return allocated_; }
-  std::uint64_t exhausted_waits() const { return exhausted_waits_; }
+  std::uint64_t exhausted_waits() const {
+    return exhausted_waits_.load(std::memory_order_relaxed);
+  }
 
  private:
   std::size_t capacity_;
@@ -141,7 +143,9 @@ class BatchPool {
 
   std::uint64_t reused_ = 0;
   std::uint64_t allocated_ = 0;
-  std::uint64_t exhausted_waits_ = 0;
+  // Atomic so a worker can watch for an episode (once per episode, not
+  // per event, so the cost is off the hot path).
+  std::atomic<std::uint64_t> exhausted_waits_{0};
 };
 
 }  // namespace swmon

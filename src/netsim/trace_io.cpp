@@ -34,16 +34,34 @@ bool SetError(std::string* error, const std::string& msg) {
   return false;
 }
 
-/// Decodes one event from `r`. Returns kEvent/kNeedMore/kCorrupt exactly
-/// like the incremental decoder — LoadTrace treats kNeedMore as truncation.
-TraceEventDecoder::Result DecodeOneEvent(ByteReader& r, DataplaneEvent& out,
+std::uint32_t LoadU32LE(const std::uint8_t* p) {
+  std::uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native != std::endian::little)
+    v = __builtin_bswap32(v);
+  return v;
+}
+
+std::uint64_t LoadU64LE(const std::uint8_t* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native != std::endian::little)
+    v = __builtin_bswap64(v);
+  return v;
+}
+
+/// Decodes one event from the `n` bytes at `p` and, on kEvent, sets
+/// `*size` to its encoded length. Returns kEvent/kNeedMore/kCorrupt exactly
+/// like the incremental decoder (LoadTrace treats kNeedMore as truncation)
+/// and never reads past p + n.
+TraceEventDecoder::Result DecodeOneEvent(const std::uint8_t* p, std::size_t n,
+                                         DataplaneEvent& out,
+                                         std::size_t* size,
                                          std::string* error) {
   using Result = TraceEventDecoder::Result;
-  if (r.remaining() < kEventFixedBytes) return Result::kNeedMore;
-  const std::uint8_t type = r.ReadU8();
-  const std::uint64_t time_ns = r.ReadU64LE();
-  const std::uint32_t packet_bytes = r.ReadU32LE();
-  const std::uint64_t presence = r.ReadU64LE();
+  if (n < kEventFixedBytes) return Result::kNeedMore;
+  const std::uint8_t type = p[0];
+  std::uint64_t presence = LoadU64LE(p + 13);
   if (type > static_cast<std::uint8_t>(DataplaneEventType::kLinkStatus)) {
     SetError(error, "corrupt event type");
     return Result::kCorrupt;
@@ -52,17 +70,19 @@ TraceEventDecoder::Result DecodeOneEvent(ByteReader& r, DataplaneEvent& out,
     SetError(error, "corrupt presence mask");
     return Result::kCorrupt;
   }
-  const std::size_t n_fields =
-      static_cast<std::size_t>(std::popcount(presence));
-  if (r.remaining() < n_fields * 8) return Result::kNeedMore;
+  const std::size_t bytes =
+      kEventFixedBytes + 8 * static_cast<std::size_t>(std::popcount(presence));
+  if (n < bytes) return Result::kNeedMore;
   out = DataplaneEvent{};
   out.type = static_cast<DataplaneEventType>(type);
-  out.time = SimTime::FromNanos(static_cast<std::int64_t>(time_ns));
-  out.packet_bytes = packet_bytes;
-  for (std::size_t fi = 0; fi < kNumFieldIds; ++fi) {
-    if (!(presence >> fi & 1)) continue;
-    out.fields.Set(static_cast<FieldId>(fi), r.ReadU64LE());
-  }
+  out.time = SimTime::FromNanos(static_cast<std::int64_t>(LoadU64LE(p + 1)));
+  out.packet_bytes = LoadU32LE(p + 9);
+  // Values follow in ascending FieldId order: one per set presence bit.
+  for (const std::uint8_t* v = p + kEventFixedBytes; presence != 0;
+       presence &= presence - 1, v += 8)
+    out.fields.Set(static_cast<FieldId>(std::countr_zero(presence)),
+                   LoadU64LE(v));
+  *size = bytes;
   return Result::kEvent;
 }
 
@@ -89,29 +109,27 @@ void EncodeTraceEvent(ByteWriter& w, const DataplaneEvent& ev) {
 // --------------------------------------------------- TraceEventDecoder
 
 void TraceEventDecoder::Feed(const std::uint8_t* data, std::size_t n) {
+  // Drop the consumed prefix once it is at least half the buffer, so a
+  // long-lived stream never accretes decoded bytes and the move costs no
+  // more than what was decoded. Readers feed when Next runs dry, so
+  // usually only a partial event's bytes move.
+  if (pos_ * 2 >= buf_.size()) {
+    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
+    pos_ = 0;
+  }
   buf_.insert(buf_.end(), data, data + n);
 }
 
 TraceEventDecoder::Result TraceEventDecoder::Next(DataplaneEvent& out) {
   if (corrupt_) return Result::kCorrupt;
-  ByteReader r(std::span<const std::uint8_t>(buf_.data() + pos_,
-                                             buf_.size() - pos_));
-  const Result res = DecodeOneEvent(r, out, &error_);
-  if (res == Result::kCorrupt) {
-    corrupt_ = true;
-    return res;
-  }
+  std::size_t size = 0;
+  const Result res = DecodeOneEvent(buf_.data() + pos_, buf_.size() - pos_,
+                                    out, &size, &error_);
   if (res == Result::kEvent) {
-    pos_ += r.position();
+    pos_ += size;
     ++events_decoded_;
-    // Drop the consumed prefix once it dominates the buffer, so a
-    // long-lived stream never accretes decoded bytes (the daemon's
-    // resident path runs through here for every ingested event).
-    if (pos_ > (1u << 16) && pos_ * 2 > buf_.size()) {
-      buf_.erase(buf_.begin(),
-                 buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
-      pos_ = 0;
-    }
+  } else if (res == Result::kCorrupt) {
+    corrupt_ = true;
   }
   return res;
 }
@@ -212,12 +230,16 @@ bool LoadTrace(const std::string& path, TraceRecorder& out,
   const std::uint64_t count = r.ReadU64LE();
   if (!r.ok()) return SetError(error, "truncated header");
 
+  std::size_t pos = r.position();
   for (std::uint64_t i = 0; i < count; ++i) {
     DataplaneEvent ev;
+    std::size_t size = 0;
     std::string decode_error;
-    switch (DecodeOneEvent(r, ev, &decode_error)) {
+    switch (DecodeOneEvent(buf.data() + pos, buf.size() - pos, ev, &size,
+                           &decode_error)) {
       case TraceEventDecoder::Result::kEvent:
         out.OnDataplaneEvent(ev);
+        pos += size;
         break;
       case TraceEventDecoder::Result::kNeedMore:
         return SetError(error, "truncated event");

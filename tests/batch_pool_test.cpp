@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <set>
 #include <thread>
@@ -109,11 +108,12 @@ TEST(BatchPoolTest, AcquireBlockingWaitsOutExhaustionAndCountsOneEpisode) {
   b->refs.store(1, std::memory_order_relaxed);
   EXPECT_EQ(pool.exhausted_waits(), 0u);
 
-  // A worker releases both slabs while the producer spins in
-  // AcquireBlocking; the wait resolves and is billed as ONE backpressure
-  // episode regardless of how many spin iterations it took.
+  // A worker releases both slabs once the producer is inside
+  // AcquireBlocking's spin (the episode is counted); the wait resolves and
+  // is billed as ONE backpressure episode regardless of how many spin
+  // iterations it took.
   std::thread worker([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    while (pool.exhausted_waits() == 0) std::this_thread::yield();
     pool.Release(a);
     pool.Release(b);
   });

@@ -6,10 +6,13 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <functional>
+#include <future>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -75,8 +78,10 @@ bool SendToTcp(std::uint16_t port, const std::string& payload) {
   }
   std::size_t sent = 0;
   while (sent < payload.size()) {
+    // MSG_NOSIGNAL: a source that drops or stops the connection mid-send
+    // fails the send instead of raising SIGPIPE.
     const ssize_t n = ::send(fd, payload.data() + sent, payload.size() - sent,
-                             0);
+                             MSG_NOSIGNAL);
     if (n <= 0) {
       ::close(fd);
       return false;
@@ -444,6 +449,168 @@ TEST(SocketSourceTest, PollHandsOutAtMostTheBudgetAndTheRestInOrder) {
   ASSERT_EQ(out.size(), 10u);
   for (std::size_t i = 0; i < out.size(); ++i)
     EXPECT_EQ(out[i].time.nanos(), static_cast<std::int64_t>(1000 * (i + 1)));
+  src.Stop();
+}
+
+// ------------------------------------------------------------ socket ring
+
+/// `n` events tagged `tag` in ip_src, numbered 1..n in time and l4_dst.
+std::vector<DataplaneEvent> Numbered(std::uint64_t tag, std::size_t n) {
+  std::vector<DataplaneEvent> events;
+  for (std::size_t i = 1; i <= n; ++i)
+    events.push_back(MakeEvent(static_cast<std::int64_t>(i), tag, i));
+  return events;
+}
+
+/// Polls with random budgets of 1..max_budget until `want` events arrived
+/// (or 20 s passed).
+std::vector<DataplaneEvent> PollInSmallBudgets(SocketSource& src,
+                                               std::size_t want,
+                                               std::size_t max_budget) {
+  std::mt19937 rng(7);
+  std::vector<DataplaneEvent> out;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (out.size() < want && std::chrono::steady_clock::now() < deadline) {
+    const std::size_t before = out.size();
+    const std::size_t budget = 1 + rng() % max_budget;
+    EXPECT_TRUE(src.Poll(out, budget));
+    EXPECT_LE(out.size() - before, budget);
+    if (out.size() == before)
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return out;
+}
+
+void ExpectNumbered(const std::vector<DataplaneEvent>& events,
+                    std::uint64_t tag, std::size_t n) {
+  ASSERT_EQ(events.size(), n) << "tag " << tag;
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(events[i].fields.Get(FieldId::kIpSrc),
+              std::optional<std::uint64_t>(tag));
+    ASSERT_EQ(events[i].time.nanos(), static_cast<std::int64_t>(i + 1))
+        << "tag " << tag << " position " << i;
+  }
+}
+
+TEST(SocketSourceRingTest, OneConnectionStreamsFourRingsInOrder) {
+  SocketSourceOptions opts;
+  opts.tcp_enabled = true;
+  SocketSource src(opts);
+  std::string error;
+  ASSERT_TRUE(src.Start(&error)) << error;
+
+  constexpr std::size_t kEvents = 4 * SocketSource::kRingSlots + 123;
+  const std::string payload = BinaryStreamPayload(Numbered(7, kEvents));
+  bool sent = false;
+  std::thread sender([&] { sent = SendToTcp(src.tcp_port(), payload); });
+
+  // Nobody polls yet: the reader fills the ring and then blocks.
+  WaitForCount([&] { return src.events_ingested(); }, SocketSource::kRingSlots);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(src.events_ingested(), SocketSource::kRingSlots);
+
+  const std::vector<DataplaneEvent> out =
+      PollInSmallBudgets(src, kEvents, 1000);
+  src.Stop();  // unblocks the sender if events went missing
+  sender.join();
+  EXPECT_TRUE(sent);
+  ExpectNumbered(out, 7, kEvents);
+  EXPECT_EQ(src.events_ingested(), kEvents);
+  std::vector<DataplaneEvent> rest;
+  EXPECT_TRUE(src.Poll(rest));
+  EXPECT_TRUE(rest.empty());
+  EXPECT_EQ(src.decode_errors(), 0u);
+}
+
+TEST(SocketSourceRingTest, ConcurrentConnectionsEachKeepTheirOrder) {
+  SocketSourceOptions opts;
+  opts.tcp_enabled = true;
+  SocketSource src(opts);
+  std::string error;
+  ASSERT_TRUE(src.Start(&error)) << error;
+
+  // One binary and one text connection, each past a ring's worth, so
+  // their runs interleave and both wait on a full ring.
+  constexpr std::size_t kPerConnection = SocketSource::kRingSlots + 5000;
+  const std::string binary = BinaryStreamPayload(Numbered(1, kPerConnection));
+  std::string text;
+  for (std::size_t i = 1; i <= kPerConnection; ++i)
+    text += "arrival " + std::to_string(i) + " ip_src=2 l4_dst=" +
+            std::to_string(i) + "\n";
+  bool sent_binary = false, sent_text = false;
+  std::thread a([&] { sent_binary = SendToTcp(src.tcp_port(), binary); });
+  std::thread b([&] { sent_text = SendToTcp(src.tcp_port(), text); });
+
+  const std::vector<DataplaneEvent> out =
+      PollInSmallBudgets(src, 2 * kPerConnection, 3000);
+  src.Stop();  // unblocks the senders if events went missing
+  a.join();
+  b.join();
+  EXPECT_TRUE(sent_binary);
+  EXPECT_TRUE(sent_text);
+  std::vector<DataplaneEvent> per_tag[2];
+  for (const DataplaneEvent& ev : out) {
+    const auto tag = ev.fields.Get(FieldId::kIpSrc);
+    ASSERT_TRUE(tag == 1u || tag == 2u);
+    per_tag[*tag - 1].push_back(ev);
+  }
+  ExpectNumbered(per_tag[0], 1, kPerConnection);
+  ExpectNumbered(per_tag[1], 2, kPerConnection);
+  EXPECT_EQ(src.events_ingested(), 2 * kPerConnection);
+  EXPECT_EQ(src.decode_errors(), 0u);
+}
+
+TEST(SocketSourceRingTest, StopWakesAReaderBlockedOnAFullRing) {
+  SocketSourceOptions opts;
+  opts.tcp_enabled = true;
+  SocketSource src(opts);
+  std::string error;
+  ASSERT_TRUE(src.Start(&error)) << error;
+
+  const std::string payload =
+      BinaryStreamPayload(Numbered(3, 2 * SocketSource::kRingSlots));
+  std::thread sender([&] { SendToTcp(src.tcp_port(), payload); });
+  WaitForCount([&] { return src.events_ingested(); }, SocketSource::kRingSlots);
+  EXPECT_EQ(src.events_ingested(), SocketSource::kRingSlots);
+
+  // Stop returns only once the blocked reader has been woken and joined;
+  // a reader left asleep would hang the suite, so fail fast instead.
+  auto stopped = std::async(std::launch::async, [&] { src.Stop(); });
+  if (stopped.wait_for(std::chrono::seconds(10)) !=
+      std::future_status::ready) {
+    std::fprintf(stderr, "Stop() left a reader blocked on the full ring\n");
+    std::abort();
+  }
+  sender.join();
+  EXPECT_EQ(src.events_ingested(), SocketSource::kRingSlots);
+  // What was published before the stop is still handed out, in order.
+  std::vector<DataplaneEvent> out;
+  EXPECT_TRUE(src.Poll(out));
+  ExpectNumbered(out, 3, SocketSource::kRingSlots);
+}
+
+TEST(SocketSourceRingTest, CorruptRecordMidChunkPublishesTheEventsBeforeIt) {
+  SocketSourceOptions opts;
+  opts.tcp_enabled = true;
+  SocketSource src(opts);
+  std::string error;
+  ASSERT_TRUE(src.Start(&error)) << error;
+
+  // A few KiB in one send: 100 good events, a bad type byte, and more
+  // good events the reader must not reach.
+  std::string payload = BinaryStreamPayload(Numbered(5, 100));
+  payload.append(40, '\xff');
+  const std::string after = BinaryStreamPayload(Numbered(6, 50));
+  payload.append(after, kTraceHeaderBytes);
+  ASSERT_TRUE(SendToTcp(src.tcp_port(), payload));
+  WaitForCount([&] { return src.decode_errors(); }, 1);
+  EXPECT_EQ(src.decode_errors(), 1u);
+  EXPECT_EQ(src.protocol_errors(), 1u);
+  EXPECT_EQ(src.events_ingested(), 100u);
+  std::vector<DataplaneEvent> out;
+  EXPECT_TRUE(src.Poll(out));
+  ExpectNumbered(out, 5, 100);
   src.Stop();
 }
 
