@@ -1,7 +1,7 @@
 // Parallel — sharded worker-pool monitor execution (DESIGN.md "Parallel
 // execution"): aggregate events/sec with all 13 Table-1 engines attached,
 // serial MonitorSet versus ParallelMonitorSet sweeping workers x batch size
-// x properties, plus calibrated (cost-balanced) versus uniform sharding.
+// x properties, with properties spread evenly across the workers.
 // Sec 3.3 wants per-packet cost constant as properties grow; PR 2's filter
 // cut wasted deliveries, this path adds the other axis — spreading the
 // remaining real work across cores the way a hardware pipeline spreads
@@ -169,15 +169,13 @@ std::size_t RunSerialOnce(const std::vector<Property>& props,
 std::size_t RunParallelOnce(const std::vector<Property>& props,
                             const std::vector<DataplaneEvent>& events,
                             std::size_t workers, std::size_t batch,
-                            const std::vector<double>* weights,
                             ShardMode mode = ShardMode::kProperty) {
   ParallelConfig cfg;
   cfg.workers = workers;
   cfg.batch_capacity = batch;
   cfg.shard_mode = mode;
   ParallelMonitorSet set(cfg);
-  for (std::size_t i = 0; i < props.size(); ++i)
-    set.Add(props[i], {}, weights ? (*weights)[i] : 1.0);
+  for (const Property& p : props) set.Add(p);
   set.Start();
   for (const DataplaneEvent& ev : events) set.OnDataplaneEvent(ev);
   set.Stop();
@@ -257,13 +255,8 @@ int main() {
   // The gate measurement: 1 worker, batch 256, 13 properties (set below).
   double gate_overhead = 0;
 
-  // Calibration sample: a prefix of the same stream shape (fresh engines —
-  // the probe engines are throwaway, so the measured run starts cold).
-  const auto sample = MixedScenarioStream(2000, 7);
-
   for (const std::size_t nprops : {4u, 13u}) {
     const std::vector<Property> props = Table1Properties(nprops);
-    const auto weights = CalibrateShardWeights(props, sample);
 
     const std::size_t serial_violations = RunSerialOnce(props, events);
     const double serial_s =
@@ -285,7 +278,7 @@ int main() {
         .Num("violations", static_cast<double>(serial_violations));
 
     bench::Section(("parallel sweep, " + std::to_string(props.size()) +
-                    " properties (calibrated shards)")
+                    " properties")
                        .c_str());
     std::printf("%8s | %6s | %14s | %8s | %10s\n", "workers", "batch",
                 "events/sec", "speedup", "violations");
@@ -293,7 +286,7 @@ int main() {
       for (const std::size_t batch : {64u, 256u, 1024u}) {
         if (batch != 256 && workers != 4) continue;  // batch sweep at 4 only
         const std::size_t violations =
-            RunParallelOnce(props, events, workers, batch, &weights);
+            RunParallelOnce(props, events, workers, batch);
         if (violations != serial_violations) {
           std::printf(
               "SEMANTICS MISMATCH at workers=%zu batch=%zu: parallel=%zu "
@@ -302,7 +295,7 @@ int main() {
           return 1;
         }
         const double s = BestSeconds(
-            [&] { RunParallelOnce(props, events, workers, batch, &weights); });
+            [&] { RunParallelOnce(props, events, workers, batch); });
         const double eps = static_cast<double>(kEvents) / s;
         std::printf("%8zu | %6zu | %14.0f | %7.2fx | %10zu\n", workers, batch,
                     eps, eps / serial_eps, violations);
@@ -317,26 +310,6 @@ int main() {
             .Num("speedup", eps / serial_eps)
             .Num("violations", static_cast<double>(violations));
       }
-    }
-
-    // Uniform (round-robin-equivalent) sharding vs calibrated, 4 workers.
-    if (props.size() > 4) {
-      const std::size_t workers = std::min<std::size_t>(4, kMaxWorkers);
-      const double uniform_s = BestSeconds(
-          [&] { RunParallelOnce(props, events, workers, 256, nullptr); });
-      const double uniform_eps = static_cast<double>(kEvents) / uniform_s;
-      std::printf(
-          "  uniform shards @ %zu workers: %.0f events/sec (%.2fx serial; "
-          "calibration re-balances by measured candidate_checks)\n",
-          workers, uniform_eps, uniform_eps / serial_eps);
-      json.AddRow()
-          .Str("mode", "parallel_uniform")
-          .Num("properties", static_cast<double>(props.size()))
-          .Num("workers", static_cast<double>(workers))
-          .Num("batch", 256)
-          .Num("events_per_sec", uniform_eps)
-          .Num("speedup", uniform_eps / serial_eps)
-          .Num("violations", static_cast<double>(serial_violations));
     }
   }
 
@@ -390,7 +363,7 @@ int main() {
                 "speedup", "violations");
     for (std::size_t workers = 1; workers <= kMaxWorkers; workers *= 2) {
       const std::size_t violations = RunParallelOnce(
-          hot, hot_stream, workers, 256, nullptr, ShardMode::kInstance);
+          hot, hot_stream, workers, 256, ShardMode::kInstance);
       if (violations != hot_serial_violations) {
         std::printf(
             "SEMANTICS MISMATCH (hot, instance-sharded) at workers=%zu: "
@@ -399,8 +372,7 @@ int main() {
         return 1;
       }
       const double s = BestSeconds([&] {
-        RunParallelOnce(hot, hot_stream, workers, 256, nullptr,
-                        ShardMode::kInstance);
+        RunParallelOnce(hot, hot_stream, workers, 256, ShardMode::kInstance);
       });
       const double eps = static_cast<double>(hot_events) / s;
       std::printf("%8zu | %14.0f | %7.2fx | %10zu\n", workers, eps,

@@ -77,14 +77,6 @@ std::string ViolationsToJson(const std::vector<Violation>& violations) {
 SwmonDaemon::SwmonDaemon(SwmondOptions options)
     : options_(std::move(options)) {
   if (options_.max_round_events == 0) options_.max_round_events = 1;
-  if (options_.batch == 0) {
-    if (const char* env = std::getenv("SWMON_BATCH")) {
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(env, &end, 10);
-      if (end != env && *end == '\0')
-        options_.batch = static_cast<std::size_t>(v);
-    }
-  }
 }
 
 SwmonDaemon::~SwmonDaemon() { Stop(); }
@@ -96,7 +88,6 @@ Tenant& SwmonDaemon::GetOrCreateTenant(const std::string& name,
     TenantOptions topts;
     topts.workers = options_.workers;
     topts.shard_mode = options_.shard_mode;
-    topts.batch = options_.batch;
     topts.monitor = options_.monitor;
     if (eviction_override) topts.monitor.eviction = *eviction_override;
     topts.violation_capacity = options_.violation_capacity;

@@ -27,9 +27,6 @@ void Usage(const char* argv0) {
                "  --http-port PORT    control/telemetry HTTP port (default 0 =\n"
                "                      kernel-assigned, printed at start)\n"
                "  --workers N         per-tenant monitor workers (0/1 = serial)\n"
-               "  --batch N           serial tenants buffer N events and run\n"
-               "                      them as one batch (0 = per-event; the\n"
-               "                      SWMON_BATCH env var sets the default)\n"
                "  --shard-mode M      worker sharding: property (default),\n"
                "                      instance, or auto (instance-shard while\n"
                "                      a tenant has fewer properties than\n"
@@ -95,11 +92,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--workers") {
       if (!ParseSize(next(), &options.workers)) {
         std::fprintf(stderr, "swmond: bad --workers\n");
-        return 2;
-      }
-    } else if (arg == "--batch") {
-      if (!ParseSize(next(), &options.batch)) {
-        std::fprintf(stderr, "swmond: bad --batch\n");
         return 2;
       }
     } else if (arg == "--shard-mode") {

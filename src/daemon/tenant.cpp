@@ -18,7 +18,6 @@ Tenant::Tenant(std::string name, TenantOptions options)
     parallel_->Start();
   } else {
     serial_ = std::make_unique<MonitorSet>();
-    if (options_.batch != 0) serial_->SetBatching(options_.batch);
   }
 }
 
@@ -78,11 +77,7 @@ void Tenant::Deliver(const DataplaneEvent& event) {
 }
 
 void Tenant::Flush() {
-  if (parallel_) {
-    parallel_->Flush();
-  } else {
-    serial_->FlushEvents();  // publishes the micro-batcher's partial window
-  }
+  if (parallel_) parallel_->Flush();
 }
 
 void Tenant::AdvanceTime(SimTime now) {

@@ -38,11 +38,6 @@ struct TenantOptions {
   /// while the tenant has fewer live properties than workers — the right
   /// default for a tenant whose one hot property must use the whole pool.
   ShardMode shard_mode = ShardMode::kProperty;
-  /// Serial micro-batch window (MonitorSet::SetBatching): events buffer in
-  /// the tenant's set until `batch` arrive or the pump hits a quiet point
-  /// (Flush/AdvanceTime/any read). 0 = per-event delivery. Ignored for
-  /// parallel tenants — their workers already consume whole slab batches.
-  std::size_t batch = 0;
   /// Per-engine monitor config (provenance, instance caps, ...).
   MonitorConfig monitor;
   /// Most-recent undrained violations retained per tenant (older ones are
@@ -82,7 +77,8 @@ class Tenant {
   std::size_t attached_count() const;
 
   void Deliver(const DataplaneEvent& event);
-  /// Flush the quiet point (publishes partial batches on a parallel set).
+  /// Flush the quiet point: publishes a parallel set's partial batch and
+  /// waits for its workers (a serial set has nothing buffered).
   void Flush();
   void AdvanceTime(SimTime now);
 

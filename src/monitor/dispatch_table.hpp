@@ -1,14 +1,12 @@
-// Interest-signature dispatch lists, shared by the serial MonitorSet and
-// each ParallelMonitorSet worker shard.
+// Interest-signature dispatch lists for the serial MonitorSet.
 //
 // For every DataplaneEventType the table keeps two lists in engine-attach
 // order: engines whose property can react to the type (interested — they
 // get the full ProcessDispatchedEvent) and the rest (filtered — they only
-// observe the timestamp so their timeout windows keep expiring). Entries
-// carry the engine's attach index so the parallel path can tag violations
-// with a stable merge key; the serial path ignores it.
+// observe the timestamp so their timeout windows keep expiring).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -19,24 +17,14 @@ namespace swmon {
 
 class DispatchTable {
  public:
-  struct Entry {
-    PropertyMonitor* engine;
-    std::uint32_t attach_index;  // position in the owning set's Add() order
-  };
-  struct Lists {
-    std::vector<Entry> interested;
-    std::vector<Entry> filtered;
-  };
-
   /// Slots the engine into interested/filtered per event type from its
   /// interest signature. Call in attach order — list order is dispatch
   /// order, and dispatch order is part of the determinism contract.
-  void Register(PropertyMonitor* engine, std::uint32_t attach_index) {
+  void Register(PropertyMonitor* engine) {
     const EventTypeMask sig = engine->interest_signature();
     for (std::size_t t = 0; t < kNumDataplaneEventTypes; ++t) {
       auto& list = lists_[t];
-      (sig >> t & 1 ? list.interested : list.filtered)
-          .push_back(Entry{engine, attach_index});
+      (sig >> t & 1 ? list.interested : list.filtered).push_back(engine);
     }
   }
 
@@ -45,30 +33,20 @@ class DispatchTable {
   /// engines — that order is part of the determinism contract).
   void Unregister(const PropertyMonitor* engine) {
     for (auto& lists : lists_) {
-      for (auto* list : {&lists.interested, &lists.filtered}) {
-        list->erase(std::remove_if(list->begin(), list->end(),
-                                   [engine](const Entry& e) {
-                                     return e.engine == engine;
-                                   }),
+      for (auto* list : {&lists.interested, &lists.filtered})
+        list->erase(std::remove(list->begin(), list->end(), engine),
                     list->end());
-      }
     }
-  }
-
-  const Lists& lists(DataplaneEventType type) const {
-    return lists_[static_cast<std::size_t>(type)];
   }
 
   /// Delivers one event to this table's engines (interested: full
   /// processing; filtered: clock only) and bumps the caller's counters by
-  /// the per-delivery amounts — the counter contract is identical for the
-  /// serial per-event path and the batched path, which is what makes
-  /// MonitorStats aggregation agree between them.
+  /// the per-delivery amounts — the same amounts the parallel workers count
+  /// per engine, which is what makes the set-level counters agree.
   void Deliver(const DataplaneEvent& event, std::uint64_t& dispatched,
                std::uint64_t& filtered) const {
-    const Lists& list = lists(event.type);
-    for (const Entry& e : list.interested)
-      e.engine->ProcessDispatchedEvent(event);
+    const Lists& list = lists_[static_cast<std::size_t>(event.type)];
+    for (PropertyMonitor* e : list.interested) e->ProcessDispatchedEvent(event);
     dispatched += list.interested.size();
     // All-interested fast path: when nothing is filtered for this type
     // (the common case — one attached property subscribed to every event
@@ -76,11 +54,15 @@ class DispatchTable {
     // pre-filtered path costs no more than direct delivery (bench_dispatch
     // guards the parity).
     if (list.filtered.empty()) return;
-    for (const Entry& e : list.filtered) e.engine->NoteFilteredEvent(event.time);
+    for (PropertyMonitor* e : list.filtered) e->NoteFilteredEvent(event.time);
     filtered += list.filtered.size();
   }
 
  private:
+  struct Lists {
+    std::vector<PropertyMonitor*> interested;
+    std::vector<PropertyMonitor*> filtered;
+  };
   std::array<Lists, kNumDataplaneEventTypes> lists_;
 };
 

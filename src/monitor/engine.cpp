@@ -38,8 +38,7 @@ MonitorEngine::MonitorEngine(Property property, MonitorConfig config)
   const std::string err = property_.Validate();
   SWMON_ASSERT_MSG(err.empty(), err.c_str());
 
-  ecfg_ = config_.EffectiveEviction();
-  eviction_.Configure(ecfg_, property_.num_vars());
+  eviction_.Configure(config_.eviction, property_.num_vars());
   evict_enabled_ = eviction_.enabled();
 
   interest_ = InterestSignature(property_);
@@ -615,53 +614,9 @@ std::size_t MonitorEngine::StateBytes() const {
 
 void MonitorEngine::CollectInto(telemetry::Snapshot& snap,
                                 std::string_view name) const {
-  const MonitorStats s = StatsNow();
-  std::string prefix = "monitor.engine.";
-  prefix.append(name);
-  prefix += '.';
-  const auto set = [&](const char* leaf, std::uint64_t v) {
-    snap.SetCounter(prefix + leaf, v);
-  };
-  set("events", s.events);
-  set("events_dispatched", s.events_dispatched);
-  set("events_filtered", s.events_filtered);
-  set("instances_created", s.instances_created);
-  set("instances_refreshed", s.instances_refreshed);
-  set("instances_advanced", s.instances_advanced);
-  set("instances_expired", s.instances_expired);
-  set("instances_aborted", s.instances_aborted);
-  set("instances_evicted", s.instances_evicted);
-  set("timeout_observations", s.timeout_observations);
-  set("suppressed_creations", s.suppressed_creations);
-  set("violations", s.violations);
-  set("candidate_checks", s.candidate_checks);
-  set("abort_checks", s.abort_checks);
-  set("timers_armed", s.timers_armed);
-  set("timer_stale_pops", s.timer_stale_pops);
-  snap.SetGauge(prefix + "peak_live", static_cast<std::int64_t>(s.peak_live));
-  snap.SetGauge(prefix + "live_instances",
-                static_cast<std::int64_t>(instances_.size()));
-  snap.SetGauge(prefix + "eviction_queue",
-                static_cast<std::int64_t>(eviction_.QueueSize()));
-  snap.SetGauge(prefix + "timers_pending",
-                static_cast<std::int64_t>(timers_.armed_count()));
-  // Engine-neutral modeled state bytes — the same model the byte cap is
-  // enforced against, so the gauge and the cap always agree (and both
-  // engines publish identical values; actual resident size is engine-
-  // specific and stays on StateBytes()).
-  snap.SetGauge(prefix + "state_bytes",
-                static_cast<std::int64_t>(
-                    instances_.size() * ModelInstanceBytes(property_.num_vars())));
-  if (evict_enabled_) {
-    // Enabled-only so the disabled default's snapshot name-set (and cost)
-    // is unchanged: evictions split by policy and by binding cap.
-    snap.SetCounter(prefix + "evictions.policy." +
-                        EvictionPolicyName(ecfg_.policy),
-                    s.instances_evicted);
-    snap.SetCounter(prefix + "evictions.reason.capacity",
-                    evictions_capacity_);
-    snap.SetCounter(prefix + "evictions.reason.bytes", evictions_bytes_);
-  }
+  PublishEngineCounters(snap, name, stats_, instances_.size(),
+                        property_.num_vars(), timers_, eviction_,
+                        evictions_capacity_, evictions_bytes_);
 }
 
 }  // namespace swmon

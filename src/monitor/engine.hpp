@@ -86,14 +86,6 @@ class MonitorEngine : public PropertyMonitor {
 
   const Property& property() const override { return property_; }
 
-  /// DEPRECATED shim (one PR): read counters via CollectInto() / a
-  /// telemetry::Snapshot instead. Returns by value with the TimerSet
-  /// mirrors filled live, so unlike the old accessor it is never stale.
-  [[deprecated("query engine counters via telemetry::Snapshot (CollectInto)")]]
-  MonitorStats stats() const {
-    return StatsNow();
-  }
-
   /// Publishes this engine's counters into `snap` under
   /// `monitor.engine.<name>.<stat>` (counters) plus the `live_instances` /
   /// `eviction_queue` / `state_bytes` gauges. Timer values are read from
@@ -168,13 +160,6 @@ class MonitorEngine : public PropertyMonitor {
                        std::uint32_t trigger_stage_index);
   void OnTimerExpiry(std::uint64_t id, SimTime deadline);
   void EvictIfNeeded();
-  /// Current stats with the TimerSet mirrors filled from the live TimerSet.
-  MonitorStats StatsNow() const {
-    MonitorStats s = stats_;
-    s.timers_armed = timers_.total_armed();
-    s.timer_stale_pops = timers_.stale_popped();
-    return s;
-  }
 
   // --- per-event passes (bit k of stage_mask admits stage-k instances) ---
   void RunAbortPass(const DataplaneEvent& ev, std::uint64_t stage_mask);
@@ -203,10 +188,9 @@ class MonitorEngine : public PropertyMonitor {
       stage0_index_;
   std::vector<VarId> stage0_bound_vars_;
   std::unordered_set<FlowKey, FlowKeyHash> suppressed_;
-  /// Bounded-memory eviction (resolved from config_.EffectiveEviction()).
-  /// Hooks are only called when ecfg_.enabled() — the disabled default
-  /// costs one cached-bool test per lifecycle point.
-  EvictionConfig ecfg_;
+  /// Bounded-memory eviction (configured from config_.eviction). Hooks are
+  /// only called when enabled — the disabled default costs one cached-bool
+  /// test per lifecycle point.
   bool evict_enabled_ = false;
   EvictionState eviction_;
   std::uint64_t evictions_capacity_ = 0;  // reason attribution (telemetry)

@@ -121,6 +121,7 @@ class EvictionState {
   void Configure(const EvictionConfig& config, std::size_t num_vars);
 
   bool enabled() const { return cap_ != 0; }
+  EvictionPolicy policy() const { return config_.policy; }
   /// Effective live-instance cap (nonzero iff enabled).
   std::size_t cap() const { return cap_; }
   /// True when the byte cap is the binding constraint — decides whether an

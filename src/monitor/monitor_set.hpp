@@ -31,22 +31,6 @@
 // hot paths are the two specializations of DeliverEvent<bool>; the build's
 // SWMON_TELEMETRY macro only selects which one OnDataplaneEvent uses, so
 // bench_telemetry_overhead can compare both in a single binary.
-//
-// Batch mode (opt-in, SetBatching): instead of delivering each event the
-// moment it arrives, the set parks events in a small buffer and hands the
-// whole run to each engine's ProcessEventBatch when the window fills —
-// letting the compiled engine hash routing keys up front (once per fused
-// key tuple across all attached properties, via FusedKeyTable) and
-// prefetch probe targets ahead of the per-event passes. Batching is
-// invisible to every observable: any read that could see engine state
-// (violations, telemetry, engine(), lifecycle ops, AdvanceTime,
-// FlushEvents) first flushes the pending run, so callers see exactly the
-// scalar-delivery state — same violations bit-for-bit, same counters. The
-// only scalar feature the batch path does not replicate is the sampled
-// dispatch-latency histogram (a per-event latency has no meaning for a
-// buffered event). bench_batch and the daemon's pump drains are the
-// intended users; the default window of 0 keeps every existing caller on
-// the per-event path.
 #pragma once
 
 #include <algorithm>
@@ -57,7 +41,6 @@
 #include <vector>
 
 #include "monitor/dispatch_table.hpp"
-#include "monitor/fused_keys.hpp"
 #include "monitor/property_monitor.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/telemetry.hpp"
@@ -101,12 +84,10 @@ class MonitorSet : public DataplaneObserver {
   /// event, exactly as if the set had been built with it from the start of
   /// an empty stream.
   PropertyId AttachProperty(Property property, MonitorConfig config = {}) {
-    FlushBatch();  // the new engine must not see buffered pre-attach events
     engine_names_.push_back(UniqueEngineName(engine_names_, property.name));
     engines_.push_back(CreatePropertyMonitor(std::move(property), config));
     PropertyMonitor* engine = engines_.back().get();
-    dispatch_.Register(engine, static_cast<std::uint32_t>(engines_.size() - 1));
-    fused_dirty_ = true;
+    dispatch_.Register(engine);
     return engines_.size() - 1;
   }
 
@@ -119,11 +100,9 @@ class MonitorSet : public DataplaneObserver {
   /// detached property (monitor_lifecycle_test asserts this).
   std::optional<std::vector<Violation>> DetachProperty(PropertyId id) {
     if (id >= engines_.size() || engines_[id] == nullptr) return std::nullopt;
-    FlushBatch();  // the departing engine still owes its buffered events
     std::vector<Violation> drained = engines_[id]->TakeViolations();
     dispatch_.Unregister(engines_[id].get());
     engines_[id].reset();
-    fused_dirty_ = true;
     return drained;
   }
 
@@ -144,7 +123,6 @@ class MonitorSet : public DataplaneObserver {
   /// resident daemon needs: violation storage is handed to the caller
   /// instead of growing inside the set for the process lifetime.
   std::vector<Violation> DrainViolations() {
-    FlushBatch();
     std::vector<Violation> out;
     for (auto& e : engines_) {
       if (!e) continue;
@@ -184,16 +162,9 @@ class MonitorSet : public DataplaneObserver {
   /// compile-time no-op telemetry path (identical to the pre-telemetry
   /// code); kInstrumented=true additionally samples every
   /// (kLatencySamplePeriod)-th delivery into the dispatch-latency
-  /// histogram when a registry is attached. With batching enabled the
-  /// event parks in the pending buffer instead (latency sampling does not
-  /// apply — see SetBatching).
+  /// histogram when a registry is attached.
   template <bool kInstrumented>
   void DeliverEvent(const DataplaneEvent& event) {
-    if (batch_window_ != 0) {
-      pending_.push_back(event);
-      if (pending_.size() >= batch_window_) FlushBatch();
-      return;
-    }
     if constexpr (kInstrumented) {
       if (latency_hist_ != nullptr &&
           (delivery_seq_++ % kLatencySamplePeriod) == 0) {
@@ -206,57 +177,20 @@ class MonitorSet : public DataplaneObserver {
     dispatch_.Deliver(event, events_dispatched_, events_filtered_);
   }
 
-  /// Enables (window >= 1) or disables (window = 0, the default) the
-  /// internal micro-batcher: DeliverEvent buffers up to `window` events and
-  /// flushes the run through each live engine's ProcessEventBatch, with
-  /// stage-0 routing hashes computed once per fused key tuple across all
-  /// attached properties. Any pending events are flushed before the window
-  /// changes, so resizing mid-stream is safe. A window of 1 exercises the
-  /// batch machinery with scalar-equivalent timing (useful for tests).
-  void SetBatching(std::size_t window) {
-    FlushBatch();
-    batch_window_ = window;
-    pending_.reserve(window);
-  }
-  std::size_t batch_window() const { return batch_window_; }
-
-  /// Span delivery: feeds a contiguous run of events in order. With
-  /// batching enabled the run executes directly out of the caller's
-  /// storage in window-sized chunks — no per-event copy into the pending
-  /// buffer — which is how zero-copy producers (replayed traces,
-  /// bench_batch's laps) should feed a batched set. Without batching it is
-  /// exactly the per-event loop. Observationally identical to calling
-  /// OnDataplaneEvent on each element either way.
+  /// Span delivery: exactly OnDataplaneEvent on each element, in order.
   void OnDataplaneEvents(const DataplaneEvent* events, std::size_t count) {
-    if (batch_window_ == 0) {
-      for (std::size_t i = 0; i < count; ++i)
-        DeliverEvent<telemetry::kCompiledIn>(events[i]);
-      return;
-    }
-    FlushBatch();  // buffered trickle events precede this run
-    for (std::size_t off = 0; off < count;) {
-      const std::size_t n = std::min(batch_window_, count - off);
-      DeliverRun(events + off, n);
-      off += n;
-    }
+    for (std::size_t i = 0; i < count; ++i)
+      DeliverEvent<telemetry::kCompiledIn>(events[i]);
   }
-
-  /// Delivers any buffered events now (quiet-point hook: the switch calls
-  /// this on its own flush, the daemon pump after each drain round).
-  void FlushEvents() override { FlushBatch(); }
 
   void AdvanceTime(SimTime now) {
-    FlushBatch();  // buffered events predate `now`; order the clocks
     for (auto& e : engines_)
       if (e) e->AdvanceTime(now);
   }
 
   /// Slot count (including detached slots — ids are never reused).
   std::size_t size() const { return engines_.size(); }
-  PropertyMonitor& engine(std::size_t i) {
-    FlushBatch();  // callers inspect engine state; make it current
-    return *engines_[i];
-  }
+  PropertyMonitor& engine(std::size_t i) { return *engines_[i]; }
   const std::string& engine_name(std::size_t i) const {
     return engine_names_[i];
   }
@@ -267,19 +201,8 @@ class MonitorSet : public DataplaneObserver {
   /// from its merged worker shards — the parity test compares the two
   /// snapshots for equality.
   void CollectInto(telemetry::Snapshot& snap) const {
-    FlushBatch();
     snap.SetCounter("monitor.set.events_dispatched", events_dispatched_);
     snap.SetCounter("monitor.set.events_filtered", events_filtered_);
-    // Batch-plumbing counters appear only when batching is on, so snapshots
-    // from per-event sets (and the parallel set's merged snapshot) are
-    // unchanged.
-    if (batch_window_ != 0) {
-      snap.SetCounter("monitor.set.batch.flushes", batch_flushes_);
-      snap.SetCounter("monitor.set.batch.events", batch_events_);
-      snap.SetCounter("monitor.set.batch.fused_tuples", fused_.tuples());
-      snap.SetCounter("monitor.set.batch.fused_sites", fused_.interned_sites());
-      snap.SetCounter("monitor.set.batch.fused_rows", fused_.rows_computed());
-    }
     for (std::size_t i = 0; i < engines_.size(); ++i)
       if (engines_[i]) engines_[i]->CollectInto(snap, engine_names_[i]);
   }
@@ -290,24 +213,10 @@ class MonitorSet : public DataplaneObserver {
     return snap;
   }
 
-  /// DEPRECATED shims (one PR): use TelemetrySnapshot() and
-  /// snapshot.counter("monitor.set.events_dispatched") instead.
-  [[deprecated("query via telemetry::Snapshot")]]
-  std::uint64_t events_dispatched() const {
-    FlushBatch();
-    return events_dispatched_;
-  }
-  [[deprecated("query via telemetry::Snapshot")]]
-  std::uint64_t events_filtered() const {
-    FlushBatch();
-    return events_filtered_;
-  }
-
   /// Live engines' accumulated (undrained) violations, in attach order.
   /// Violations of since-detached properties are not included — they were
   /// handed to the DetachProperty caller.
   std::vector<Violation> AllViolations() const {
-    FlushBatch();
     std::vector<Violation> out;
     for (const auto& e : engines_) {
       if (!e) continue;
@@ -318,7 +227,6 @@ class MonitorSet : public DataplaneObserver {
   }
 
   std::size_t TotalViolations() const {
-    FlushBatch();
     std::size_t n = 0;
     for (const auto& e : engines_)
       if (e) n += e->violations().size();
@@ -331,83 +239,15 @@ class MonitorSet : public DataplaneObserver {
   /// instrumented path stays within the <3% overhead budget.
   static constexpr std::uint64_t kLatencySamplePeriod = 16;
 
-  /// Delivers the buffered run. Const because every observable read calls
-  /// it (the pending buffer is a delivery detail, not logical state): a
-  /// const MonitorSet with buffered events must answer queries as if they
-  /// had been delivered, so the buffer and counters are mutable. Engine
-  /// order is attach order — the same order DispatchTable walks per event —
-  /// and each engine sees the full run in event order, so its event stream
-  /// is identical to scalar delivery (engines never observe each other, so
-  /// swapping the event/engine loop nesting is invisible).
-  void FlushBatch() const {
-    if (pending_.empty()) return;
-    DeliverRun(pending_.data(), pending_.size());
-    pending_.clear();
-  }
-
-  /// Executes one contiguous run through every live engine: fused hash
-  /// pass first (over only the tuples some engine demands this batch),
-  /// then each engine's ProcessEventBatch over the whole run. Shared by
-  /// FlushBatch (the pending buffer) and OnDataplaneEvents (caller spans).
-  void DeliverRun(const DataplaneEvent* events, std::size_t count) const {
-    if (fused_dirty_) RebuildFused();
-    fused_want_.assign(fused_.tuples(), 0);
-    for (const auto& e : engines_)
-      if (e) e->MarkConsumableFusedSlots(fused_want_.data());
-    fused_.ComputeRows(events, count, fused_want_.data());
-    for (const auto& e : engines_)
-      if (e) e->ProcessEventBatch(events, count, &fused_, nullptr);
-    // Same per-delivery arithmetic as DispatchTable::Deliver — interested
-    // engines count as dispatched, the rest as filtered — folded into one
-    // multiply per event type.
-    std::size_t type_counts[kNumDataplaneEventTypes] = {};
-    for (std::size_t i = 0; i < count; ++i)
-      ++type_counts[static_cast<std::size_t>(events[i].type)];
-    for (std::size_t t = 0; t < kNumDataplaneEventTypes; ++t) {
-      if (type_counts[t] == 0) continue;
-      const DispatchTable::Lists& l =
-          dispatch_.lists(static_cast<DataplaneEventType>(t));
-      events_dispatched_ += type_counts[t] * l.interested.size();
-      events_filtered_ += type_counts[t] * l.filtered.size();
-    }
-    batch_events_ += count;
-    ++batch_flushes_;
-  }
-
-  /// Re-interns every live engine's probe-site key tuples into the fused
-  /// table (dedup across properties) and hands each engine its slot map.
-  /// Runs lazily on the first flush after an attach/detach invalidated the
-  /// bindings.
-  void RebuildFused() const {
-    fused_.Reset();
-    for (const auto& e : engines_) {
-      if (!e) continue;
-      std::vector<std::uint32_t> slots;
-      for (const ProbeKeyTuple& t : e->ProbeKeyTuples())
-        slots.push_back(fused_.Intern(t.fields, t.types, t.filter));
-      e->BindFusedRows(std::move(slots));
-    }
-    fused_dirty_ = false;
-  }
-
   std::vector<std::unique_ptr<PropertyMonitor>> engines_;
   std::vector<std::string> engine_names_;
   DispatchTable dispatch_;
-  mutable std::uint64_t events_dispatched_ = 0;
-  mutable std::uint64_t events_filtered_ = 0;
+  std::uint64_t events_dispatched_ = 0;
+  std::uint64_t events_filtered_ = 0;
   std::uint64_t delivery_seq_ = 0;
   telemetry::MetricsRegistry* registry_ = nullptr;
   telemetry::Histogram* latency_hist_ = nullptr;
   std::uint64_t collector_token_ = 0;
-
-  // Micro-batcher state (SetBatching). All mutable: see FlushBatch.
-  std::size_t batch_window_ = 0;
-  mutable std::vector<DataplaneEvent> pending_;
-  mutable FusedKeyTable fused_;
-  mutable std::vector<std::uint8_t> fused_want_;  // per-batch demand mask
-  mutable bool fused_dirty_ = true;
-  mutable std::uint64_t batch_flushes_ = 0;
-  mutable std::uint64_t batch_events_ = 0;
 };
 
 }  // namespace swmon

@@ -4,34 +4,8 @@
 #include <numeric>
 
 #include "common/assert.hpp"
-#include "monitor/engine.hpp"  // CalibrateShardWeights' throwaway probe
 
 namespace swmon {
-
-std::vector<double> CalibrateShardWeights(
-    const std::vector<Property>& properties,
-    const std::vector<DataplaneEvent>& sample, MonitorConfig config) {
-  std::vector<double> weights;
-  weights.reserve(properties.size());
-  for (const Property& p : properties) {
-    MonitorEngine probe(p, config);
-    const EventTypeMask sig = probe.interest_signature();
-    for (const DataplaneEvent& ev : sample) {
-      if (sig >> static_cast<std::size_t>(ev.type) & 1) {
-        probe.ProcessEvent(ev);
-      } else {
-        probe.AdvanceTime(ev.time);  // mirror the filtered clock-only path
-      }
-    }
-    // candidate_checks counts instances examined across lookups — the
-    // dominant per-event cost. +1 keeps never-matching engines schedulable.
-    telemetry::Snapshot snap;
-    probe.CollectInto(snap, "probe");
-    weights.push_back(1.0 + static_cast<double>(snap.counter(
-                                "monitor.engine.probe.candidate_checks")));
-  }
-  return weights;
-}
 
 std::vector<std::size_t> GreedyAssignShards(const std::vector<double>& weights,
                                             std::size_t workers) {
@@ -115,27 +89,24 @@ void ParallelMonitorSet::RebuildPool() {
 }
 
 PropertyMonitor& ParallelMonitorSet::Add(Property property,
-                                         MonitorConfig config, double weight) {
+                                         MonitorConfig config) {
   SWMON_ASSERT_MSG(!started_,
                    "Add() after Start(); use AttachProperty for hot attach");
-  return *engines_[AttachProperty(std::move(property), config, weight)];
+  return *engines_[AttachProperty(std::move(property), config)];
 }
 
 PropertyId ParallelMonitorSet::AttachProperty(Property property,
-                                              MonitorConfig config,
-                                              double weight) {
+                                              MonitorConfig config) {
   SWMON_ASSERT_MSG(!stopped_, "AttachProperty() after Stop()");
-  if (weight <= 0) weight = 1.0;
   const PropertyId id = engines_.size();
   engine_names_.push_back(UniqueEngineName(engine_names_, property.name));
   engines_.push_back(CreatePropertyMonitor(std::move(property), config));
   configs_.push_back(config);
   retired_.emplace_back();
-  weights_.push_back(weight);
   group_of_slot_.push_back(nullptr);
   if (started_) {
     // Hot attach: the quiesce leaves every worker parked between ring pops,
-    // so the producer owns the dispatch tables and the group list. The
+    // so the producer owns the engine lists and the group list. The
     // mutation is published to the workers by the next batch push (the
     // ring's release/acquire pair), before a worker can touch either again.
     Quiesce();
@@ -144,21 +115,16 @@ PropertyId ParallelMonitorSet::AttachProperty(Property property,
         shard_of_.push_back(0);  // placeholder: sharded slots span all workers
         MakeSharded(id, std::move(*plan));
         RebuildPool();
-        // Every worker gained a replica; refresh every fused table.
-        for (std::size_t w = 0; w < workers_.size(); ++w)
-          RebuildWorkerFused(w);
         return id;
       }
     }
-    const std::size_t w = static_cast<std::size_t>(
-        std::min_element(worker_load_.begin(), worker_load_.end()) -
-        worker_load_.begin());
+    std::size_t w = 0;
+    for (std::size_t k = 1; k < workers_.size(); ++k)
+      if (workers_[k]->engine_indices.size() <
+          workers_[w]->engine_indices.size())
+        w = k;
     shard_of_.push_back(w);
-    worker_load_[w] += weight;
-    workers_[w]->table.Register(engines_[id].get(),
-                                static_cast<std::uint32_t>(id));
     workers_[w]->engine_indices.push_back(id);
-    RebuildWorkerFused(w);
   }
   return id;
 }
@@ -182,9 +148,6 @@ std::optional<std::vector<Violation>> ParallelMonitorSet::DetachProperty(
     active_groups_.erase(
         std::remove(active_groups_.begin(), active_groups_.end(), g),
         active_groups_.end());
-    // Every worker lost its replica; stale fused-table bindings must go
-    // before the next batch.
-    for (std::size_t w = 0; w < workers_.size(); ++w) RebuildWorkerFused(w);
     // Serial-order drain: the slot's markers over the retired lists.
     return MaterializeSlot(id);
   }
@@ -194,13 +157,9 @@ std::optional<std::vector<Violation>> ParallelMonitorSet::DetachProperty(
   // DrainViolations clears it.
   retired_[id].assign(1, drained);
   if (started_) {
-    const std::size_t w = shard_of_[id];
-    workers_[w]->table.Unregister(engine);
-    auto& indices = workers_[w]->engine_indices;
+    auto& indices = workers_[shard_of_[id]]->engine_indices;
     indices.erase(std::remove(indices.begin(), indices.end(), id),
                   indices.end());
-    worker_load_[w] -= weights_[id];
-    RebuildWorkerFused(w);
   }
   engines_[id].reset();
   return drained;
@@ -325,24 +284,17 @@ void ParallelMonitorSet::Start() {
         MakeSharded(i, std::move(*plan));
     }
   }
-  // Slots detached before Start (or instance-sharded) weigh nothing and are
-  // not registered on any one worker.
-  std::vector<double> effective = weights_;
+  // Every property-sharded slot weighs one; slots detached before Start (or
+  // instance-sharded) weigh nothing and are not placed on any one worker.
+  std::vector<double> weights(engines_.size(), 0.0);
   for (std::size_t i = 0; i < engines_.size(); ++i)
-    if (!engines_[i] || group_of_slot_[i] != nullptr) effective[i] = 0.0;
-  shard_of_ = GreedyAssignShards(effective, n_workers);
-  worker_load_.assign(n_workers, 0.0);
-  // Register in attach order so each shard's dispatch order (and thus its
-  // engines' event interleaving) matches the serial set's.
-  for (std::size_t i = 0; i < engines_.size(); ++i) {
-    if (!engines_[i] || group_of_slot_[i] != nullptr) continue;
-    Worker& w = *workers_[shard_of_[i]];
-    w.table.Register(engines_[i].get(), static_cast<std::uint32_t>(i));
-    w.engine_indices.push_back(i);
-    worker_load_[shard_of_[i]] += weights_[i];
-  }
+    if (engines_[i] && group_of_slot_[i] == nullptr) weights[i] = 1.0;
+  shard_of_ = GreedyAssignShards(weights, n_workers);
+  // Attach order within each worker, so its engines see the stream exactly
+  // as the serial set's dispatch order does.
+  for (std::size_t i = 0; i < engines_.size(); ++i)
+    if (weights[i] != 0.0) workers_[shard_of_[i]]->engine_indices.push_back(i);
   RebuildPool();
-  for (std::size_t w = 0; w < n_workers; ++w) RebuildWorkerFused(w);
   started_ = true;
   for (std::size_t w = 0; w < n_workers; ++w) {
     workers_[w]->thread =
@@ -376,80 +328,47 @@ void ParallelMonitorSet::ProcessBatch(Worker& worker,
                                       const SlabBatch<DataplaneEvent>& batch) {
   const std::size_t n = batch.size;
   if (n == 0) return;
-  // Batch execution: one fused hash pass over the run for every engine
-  // resident on this worker, then each engine consumes the whole run
-  // through its batch entry point. Engines are independent state machines,
-  // so swapping the scalar loop's event/engine nesting is invisible to each
-  // engine's event stream; the per-event observability the scalar loop read
-  // inline (violation highwater marks, creation counts, live counts) comes
-  // back through the BatchEventResult array and is folded into the same
-  // markers and logs the scalar loop produced — bit-identical merges.
-  worker.fused_want.assign(worker.fused.tuples(), 0);
-  for (const std::size_t idx : worker.engine_indices)
-    engines_[idx]->MarkConsumableFusedSlots(worker.fused_want.data());
-  for (ShardedGroup* g : active_groups_)
-    g->replicas[worker_index]->MarkConsumableFusedSlots(
-        worker.fused_want.data());
-  worker.fused.ComputeRows(batch.items.data(), n, worker.fused_want.data());
-  if (worker.results.size() < n) worker.results.resize(n);
-  if (worker.ops.size() < n) worker.ops.resize(n);
-
-  // Local accumulators; synced into the worker's counters once per batch so
-  // the batched path's totals match serial per-event counting exactly.
+  if (worker.ops.size() < n) {
+    worker.ops.resize(n);
+    worker.marks.resize(n);
+  }
+  // Local accumulators; synced into the worker's counters once per batch.
   std::uint64_t dispatched = 0;
   std::uint64_t filtered = 0;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const DispatchTable::Lists& lists = worker.table.lists(batch.items[i].type);
-    dispatched += lists.interested.size();
-    filtered += lists.filtered.size();
-  }
 
-  // Property-sharded residents, in attach (= serial dispatch) order. The
-  // engine's own interest test routes each event to ProcessDispatchedEvent
-  // or NoteFilteredEvent — the same split the dispatch lists encode.
+  // Property-sharded residents, in attach (= serial dispatch) order: the
+  // interest signature splits the stream into full deliveries and clock-only
+  // filtered ones, exactly as the serial set's dispatch lists do.
   for (const std::size_t idx : worker.engine_indices) {
-    PropertyMonitor* eng = engines_[idx].get();
-    const EventTypeMask sig = eng->interest_signature();
-    std::uint32_t prev = static_cast<std::uint32_t>(eng->violations().size());
-    eng->ProcessEventBatch(batch.items.data(), n, &worker.fused,
-                           worker.results.data());
-    const std::uint32_t slot = static_cast<std::uint32_t>(idx);
+    PropertyMonitor& eng = *engines_[idx];
+    const EventTypeMask sig = eng.interest_signature();
     for (std::uint32_t i = 0; i < n; ++i) {
-      const std::uint32_t after = worker.results[i].violations_after;
-      if (after != prev) {
-        // Filtered deliveries are violation sources too: the clock advance
-        // can fire timeout-action windows (Feature 7) — those merge as
-        // phase 0, match-pass violations as phase 1, exactly as the scalar
-        // loop recorded them.
-        const std::uint8_t phase =
-            (sig >> static_cast<std::size_t>(batch.items[i].type)) & 1 ? 1 : 0;
-        const std::uint64_t seq = batch.base_seq + i;
-        for (std::uint32_t v = prev; v < after; ++v)
-          worker.markers.push_back({seq, slot, v, 0, phase});
-        prev = after;
+      if (sig >> static_cast<std::size_t>(batch.items[i].type) & 1) {
+        worker.ops[i] = RunOp{~std::uint64_t{0}, true, false};
+        ++dispatched;
+      } else {
+        worker.ops[i] = RunOp{0, false, true};
+        ++filtered;
       }
     }
+    // Replica 0: Resolve reads retired_[id][0] once the slot is detached.
+    RunEngine(worker, eng, static_cast<std::uint32_t>(idx), 0, nullptr, batch);
   }
 
-  // Instance-sharded groups: derive this worker's per-event op (stage mask
-  // from the route lanes it owns, count/filtered attribution) up front,
-  // then hand the run to the replica in one call.
+  // Instance-sharded groups: this worker's op per event comes from the
+  // stage bits of the route lanes it owns, with count/filtered attribution.
   const std::uint64_t n_workers = workers_.size();
   const std::size_t stride = route_stride_;
   for (ShardedGroup* g : active_groups_) {
-    PropertyMonitor* rep = g->replicas[worker_index];
-    ShardedGroup::ReplicaLog& log = g->logs[worker_index];
-    const std::uint32_t slot = static_cast<std::uint32_t>(g->slot);
-    const std::uint16_t rep_idx = static_cast<std::uint16_t>(worker_index);
     for (std::uint32_t i = 0; i < n; ++i) {
       const DataplaneEvent& ev = batch.items[i];
       const auto& lanes =
           g->plan.lanes_by_type[static_cast<std::size_t>(ev.type)];
-      ShardedBatchOp& op = worker.ops[i];
+      RunOp& op = worker.ops[i];
       if (lanes.empty()) {
         // Outside the property's interest signature: clock only, with the
         // filtered-event count attributed once (worker 0).
-        op = ShardedBatchOp{0, false, worker_index == 0};
+        op = RunOp{0, false, worker_index == 0};
         if (worker_index == 0) ++filtered;
         continue;
       }
@@ -463,49 +382,46 @@ void ParallelMonitorSet::ProcessBatch(Worker& worker,
         mask |= ex.stage_bits;
         count = count || ex.counts;
       }
-      op = ShardedBatchOp{mask, count, false};
+      op = RunOp{mask, count, false};
       if (mask != 0 && count) ++dispatched;
     }
-    std::uint32_t prev = static_cast<std::uint32_t>(rep->violations().size());
-    rep->ProcessShardedBatch(batch.items.data(), n, worker.ops.data(),
-                             &worker.fused, worker.results.data());
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const BatchEventResult& r = worker.results[i];
-      const std::uint64_t seq = batch.base_seq + i;
-      // Phase 0: fired by the clock advance (timer expiries order by
-      // deadline across replicas); phase 1: by the owned passes.
-      for (std::uint32_t v = prev; v < r.violations_clock; ++v)
-        worker.markers.push_back({seq, slot, v, rep_idx, 0});
-      for (std::uint32_t v = r.violations_clock; v < r.violations_after; ++v)
-        worker.markers.push_back({seq, slot, v, rep_idx, 1});
-      prev = r.violations_after;
-      // Creation / live-count logs feed the quiesce-point merge that
-      // renumbers instance ids and reconstructs the exact peak_live.
-      for (std::uint64_t c = log.prev_created; c < r.created_after; ++c)
-        log.creation_seqs.push_back(seq);
-      log.prev_created = r.created_after;
-      if (r.live_after != log.prev_live) {
-        log.live_log.emplace_back(seq, r.live_after);
-        log.prev_live = r.live_after;
-      }
-    }
+    RunEngine(worker, *g->replicas[worker_index],
+              static_cast<std::uint32_t>(g->slot),
+              static_cast<std::uint16_t>(worker_index),
+              &g->logs[worker_index], batch);
   }
   worker.dispatched += dispatched;
   worker.filtered += filtered;
 }
 
-void ParallelMonitorSet::RebuildWorkerFused(std::size_t w) {
-  Worker& worker = *workers_[w];
-  worker.fused.Reset();
-  const auto bind = [&worker](PropertyMonitor* eng) {
-    std::vector<std::uint32_t> slots;
-    for (const ProbeKeyTuple& t : eng->ProbeKeyTuples())
-      slots.push_back(worker.fused.Intern(t.fields, t.types, t.filter));
-    eng->BindFusedRows(std::move(slots));
-  };
-  for (const std::size_t idx : worker.engine_indices)
-    bind(engines_[idx].get());
-  for (ShardedGroup* g : active_groups_) bind(g->replicas[w]);
+void ParallelMonitorSet::RunEngine(Worker& worker, PropertyMonitor& engine,
+                                   std::uint32_t slot, std::uint16_t replica,
+                                   ShardedGroup::ReplicaLog* log,
+                                   const SlabBatch<DataplaneEvent>& batch) {
+  std::uint32_t prev = static_cast<std::uint32_t>(engine.violations().size());
+  engine.ProcessRun(batch.items.data(), batch.size, worker.ops.data(),
+                    worker.marks.data());
+  for (std::uint32_t i = 0; i < batch.size; ++i) {
+    const RunMarks& r = worker.marks[i];
+    const std::uint64_t seq = batch.base_seq + i;
+    // Phase 0: fired by the clock advance (timer expiries, which order by
+    // deadline across replicas); phase 1: by the match passes.
+    for (std::uint32_t v = prev; v < r.violations_clock; ++v)
+      worker.markers.push_back({seq, slot, v, replica, 0});
+    for (std::uint32_t v = r.violations_clock; v < r.violations_after; ++v)
+      worker.markers.push_back({seq, slot, v, replica, 1});
+    prev = r.violations_after;
+    if (log == nullptr) continue;
+    // Creation / live-count logs feed the quiesce-point merge that
+    // renumbers instance ids and reconstructs the exact peak_live.
+    for (std::uint64_t c = log->prev_created; c < r.created_after; ++c)
+      log->creation_seqs.push_back(seq);
+    log->prev_created = r.created_after;
+    if (r.live_after != log->prev_live) {
+      log->live_log.emplace_back(seq, r.live_after);
+      log->prev_live = r.live_after;
+    }
+  }
 }
 
 void ParallelMonitorSet::OnDataplaneEvent(const DataplaneEvent& event) {
@@ -655,20 +571,6 @@ void ParallelMonitorSet::Stop() {
     if (w->thread.joinable()) w->thread.join();
   }
   stopped_ = true;
-}
-
-std::uint64_t ParallelMonitorSet::events_dispatched() {
-  Quiesce();
-  std::uint64_t total = 0;
-  for (const auto& w : workers_) total += w->dispatched;
-  return total;
-}
-
-std::uint64_t ParallelMonitorSet::events_filtered() {
-  Quiesce();
-  std::uint64_t total = 0;
-  for (const auto& w : workers_) total += w->filtered;
-  return total;
 }
 
 std::vector<Violation> ParallelMonitorSet::AllViolations() {

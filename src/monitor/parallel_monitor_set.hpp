@@ -15,10 +15,13 @@
 //     pointer to every worker's SPSC ring (event/spsc_ring.hpp). The last
 //     worker to finish a batch returns it to the pool's freelist.
 //   * Each worker owns a disjoint subset of the property-sharded engines
-//     plus a private DispatchTable over that shard, and runs the existing
-//     interest-signature loop over every batch in order; workers drain
-//     whole ring runs at once (TryPopRun), so ring synchronisation is
-//     amortized across everything queued since they last looked.
+//     plus its replica of every instance-sharded property, and hands each
+//     batch to each of them through one run entry point
+//     (PropertyMonitor::ProcessRun) with per-event ops: the interest
+//     signature decides a resident's op, the route lanes a replica's.
+//     Workers drain whole ring runs at once (TryPopRun), so ring
+//     synchronisation is amortized across everything queued since they
+//     last looked.
 //   * Flush rules: a batch is published when full; Flush()/AdvanceTime()/
 //     any query accessor publish the partial batch and quiesce (wait until
 //     every worker has consumed every published batch), so timeout
@@ -26,10 +29,11 @@
 //     those points. Stop() flushes, closes the rings, and joins.
 //
 // Sharding modes (ParallelConfig::shard_mode)
-//   * kProperty (default): each property is pinned to one worker by greedy
-//     cost balancing (longest-processing-time over CalibrateShardWeights or
-//     caller weights). Simple, zero cross-worker coordination — but a
-//     single hot property cannot scale past one core.
+//   * kProperty (default): each property is pinned to one worker, spread
+//     evenly by count (GreedyAssignShards over unit weights; hot attach
+//     picks the worker with the fewest properties). Simple, zero
+//     cross-worker coordination — but a single hot property cannot scale
+//     past one core.
 //   * kInstance: every property that BuildShardPlan (shard_plan.hpp) proves
 //     analyzable is split ACROSS all workers by instance identity: the
 //     producer hashes each event's routing fields once into the batch's
@@ -79,8 +83,6 @@
 #include "common/threading.hpp"
 #include "event/event_batch.hpp"
 #include "event/spsc_ring.hpp"
-#include "monitor/dispatch_table.hpp"
-#include "monitor/fused_keys.hpp"
 #include "monitor/monitor_set.hpp"
 #include "monitor/shard_plan.hpp"
 
@@ -107,14 +109,6 @@ struct ParallelConfig {
   ShardMode shard_mode = ShardMode::kProperty;
 };
 
-/// Computes per-engine shard weights by replaying `sample` through a
-/// throwaway engine per property: weight = 1 + candidate_checks, the count
-/// of instances the engine actually examined — a direct proxy for its
-/// per-event cost on traffic shaped like the sample.
-std::vector<double> CalibrateShardWeights(
-    const std::vector<Property>& properties,
-    const std::vector<DataplaneEvent>& sample, MonitorConfig config = {});
-
 /// Greedy LPT assignment: heaviest engine first, each to the lightest
 /// worker so far. Deterministic (ties break toward the lower engine index /
 /// lower worker id). Returns shard index per engine.
@@ -129,21 +123,17 @@ class ParallelMonitorSet : public DataplaneObserver {
   ParallelMonitorSet(const ParallelMonitorSet&) = delete;
   ParallelMonitorSet& operator=(const ParallelMonitorSet&) = delete;
 
-  /// Adds a property (before Start only). `weight` feeds shard balancing;
-  /// pass CalibrateShardWeights() output for cost-balanced shards, or leave
-  /// 1.0 for uniform.
-  PropertyMonitor& Add(Property property, MonitorConfig config = {},
-                       double weight = 1.0);
+  /// Adds a property (before Start only).
+  PropertyMonitor& Add(Property property, MonitorConfig config = {});
 
   /// Adds a property and returns its stable slot id. Before Start() this is
   /// Add(); after Start() it is a *hot attach*: the producer quiesces the
   /// pool at the flush quiet-point (every published batch consumed, workers
-  /// parked on empty rings), slots the new engine onto the lightest shard —
-  /// or, when the shard mode takes it, builds a replica per worker and
-  /// instance-shards it — and resumes. Producer-thread-only, like every
-  /// other quiescing entry point.
-  PropertyId AttachProperty(Property property, MonitorConfig config = {},
-                            double weight = 1.0);
+  /// parked on empty rings), slots the new engine onto the worker with the
+  /// fewest properties — or, when the shard mode takes it, builds a replica
+  /// per worker and instance-shards it — and resumes. Producer-thread-only,
+  /// like every other quiescing entry point.
+  PropertyId AttachProperty(Property property, MonitorConfig config = {});
 
   /// Hot-detaches a property at the quiesce point: drains and returns its
   /// violations observed so far (in the serial emission order, with serial
@@ -241,13 +231,6 @@ class ParallelMonitorSet : public DataplaneObserver {
   /// detach; the set also detaches itself on destruction.
   void AttachTelemetry(telemetry::MetricsRegistry* registry);
 
-  /// DEPRECATED shims (one PR): use TelemetrySnapshot() and
-  /// snapshot.counter("monitor.set.events_dispatched") instead.
-  [[deprecated("query via telemetry::Snapshot")]]
-  std::uint64_t events_dispatched();
-  [[deprecated("query via telemetry::Snapshot")]]
-  std::uint64_t events_filtered();
-
   /// Live properties' undrained violations concatenated in attach order —
   /// bit-identical to serial MonitorSet::AllViolations() on the same
   /// stream (and the same lifecycle ops), for every shard mode.
@@ -318,7 +301,8 @@ class ParallelMonitorSet : public DataplaneObserver {
     explicit Worker(std::size_t ring_capacity) : ring(ring_capacity) {}
     SpscRing<SlabBatch<DataplaneEvent>*> ring;
     std::thread thread;
-    DispatchTable table;  // this worker's property-sharded engines only
+    /// This worker's property-sharded engines, in attach (= serial
+    /// dispatch) order.
     std::vector<std::size_t> engine_indices;
     // Written by the worker between ring pops, read by the producer only
     // after Quiesce() — the consumed counter's release/acquire pair is the
@@ -326,18 +310,9 @@ class ParallelMonitorSet : public DataplaneObserver {
     std::uint64_t dispatched = 0;
     std::uint64_t filtered = 0;
     std::vector<ViolationMarker> markers;
-    /// This worker's fused stage-0/link/suppression hash table over every
-    /// engine it runs (property-sharded residents plus its replica of each
-    /// instance-sharded group). Rebuilt by the producer at the
-    /// attach/detach quiesce points (RebuildWorkerFused), consumed by the
-    /// worker's per-batch ComputeRows pass.
-    FusedKeyTable fused;
-    /// Per-batch demand mask (MarkConsumableFusedSlots over the worker's
-    /// engines) — tuples nobody can consume this batch are not hashed.
-    std::vector<std::uint8_t> fused_want;
-    /// Per-batch scratch for the batch entry points (sized once, reused).
-    std::vector<ShardedBatchOp> ops;
-    std::vector<BatchEventResult> results;
+    /// Per-batch ProcessRun scratch (grown once, reused).
+    std::vector<RunOp> ops;
+    std::vector<RunMarks> marks;
     /// Producer-side: max ring occupancy observed right after a push.
     std::size_t ring_high_water = 0;
     PaddedAtomic<std::uint64_t> batches_consumed;
@@ -346,11 +321,12 @@ class ParallelMonitorSet : public DataplaneObserver {
   void WorkerLoop(Worker& worker, std::size_t worker_index);
   void ProcessBatch(Worker& worker, std::size_t worker_index,
                     const SlabBatch<DataplaneEvent>& batch);
-  /// Re-interns worker w's engines' probe-site key tuples into its fused
-  /// table and rebinds their slot maps. Producer-side, at Start and at the
-  /// attach/detach quiesce points (the same publication edge as the
-  /// dispatch-table mutations).
-  void RebuildWorkerFused(std::size_t w);
+  /// Runs `batch` through one engine with the ops already in worker.ops,
+  /// then turns the per-event marks into merge markers — and, for an
+  /// instance-sharded replica (`log` non-null), creation and live logs.
+  void RunEngine(Worker& worker, PropertyMonitor& engine, std::uint32_t slot,
+                 std::uint16_t replica, ShardedGroup::ReplicaLog* log,
+                 const SlabBatch<DataplaneEvent>& batch);
   /// Seals the in-fill batch and pushes it to every worker ring.
   void PublishCurrent();
   /// Publish the partial batch, wait for all workers to drain, then fold
@@ -392,11 +368,7 @@ class ParallelMonitorSet : public DataplaneObserver {
   std::vector<std::vector<std::vector<Violation>>> retired_;
   telemetry::MetricsRegistry* registry_ = nullptr;
   std::uint64_t collector_token_ = 0;
-  std::vector<double> weights_;
   std::vector<std::size_t> shard_of_;
-  /// Summed weights per worker; hot attach sends the new engine to the
-  /// lightest shard.
-  std::vector<double> worker_load_;
   std::vector<std::unique_ptr<Worker>> workers_;
 
   /// Instance-shard state. groups_ owns; group_of_slot_ maps slot -> group

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "dataplane/switch.hpp"
-#include "event/event_batch.hpp"
 #include "monitor/eviction.hpp"
 #include "monitor/spec.hpp"
 #include "monitor/violation.hpp"
@@ -32,58 +31,28 @@
 
 namespace swmon {
 
-class FusedKeyTable;
+class TimerSet;
 
-/// Optional constant-condition gate on a probe key tuple: events failing
-/// the masked compare provably cannot reach the consuming probe (the
-/// engine's stage-0 fail-fast rejects them before any key is built), so
-/// the batch hash pass skips hashing them. Purely advisory — a row the
-/// hash pass skipped falls back to hash-at-probe, so an over-narrow
-/// filter costs time, never correctness.
-struct KeyConstFilter {
-  bool valid = false;    // false = no gate, always hash
-  bool negate = false;   // pass iff the masked compare DIFFERS
-  bool pass_if_absent = false;  // verdict when the field is missing
-  std::uint16_t field = 0;      // FieldId the condition tests
-  std::uint64_t mask = 0;
-  std::uint64_t imm = 0;
-
-  bool Matches(const FieldMap& fields) const {
-    if (!valid) return true;
-    const auto f = static_cast<FieldId>(field);
-    if (!fields.Has(f)) return pass_if_absent;
-    const bool eq = ((fields.GetUnchecked(f) ^ imm) & mask) == 0;
-    return negate ? !eq : eq;
-  }
-  bool SameAs(const KeyConstFilter& o) const {
-    return valid && o.valid && field == o.field && mask == o.mask &&
-           imm == o.imm && negate == o.negate &&
-           pass_if_absent == o.pass_if_absent;
-  }
+/// What ProcessRun does with one event: the per-event decision of the
+/// parallel worker loop (parallel_monitor_set.cpp).
+struct RunOp {
+  /// Stage mask for ProcessShardedEvent; 0 = clock-only (no passes run),
+  /// ~0 = every pass (a full dispatched delivery).
+  std::uint64_t stage_mask = 0;
+  /// Gates the events/events_dispatched counters (exactly one replica
+  /// counts each event).
+  bool count = false;
+  /// True when this engine accounts the event as filtered
+  /// (NoteFilteredEvent instead of a bare AdvanceTime).
+  bool filtered = false;
 };
 
-/// One probe-site key tuple an engine exposes for cross-property hash
-/// fusion: the event fields whose values form the site's OpenMap key, in
-/// key order. See fused_keys.hpp.
-struct ProbeKeyTuple {
-  std::vector<std::uint16_t> fields;  // FieldId values
-  /// Event types on which the probe can actually run — the fused table
-  /// skips hashing the tuple for any other event.
-  EventTypeMask types = 0;
-  /// Per-event reachability gate (stage-0 fail-fast exported); tuples
-  /// shared by sites with different gates drop the gate and always hash.
-  KeyConstFilter filter;
-};
-
-/// Per-event observability record filled by the batch entry points, in
-/// event order. Batch callers (the parallel workers) reconstruct exactly
-/// what the scalar loop would have observed between events — violation
-/// highwater marks, creation seqs, live counts — without a virtual call per
-/// event.
-struct BatchEventResult {
+/// Per-event observability marks ProcessRun fills, in event order: what the
+/// worker loop would otherwise read between events (violation highwater
+/// marks, creation counts, live counts) without a virtual call per event.
+struct RunMarks {
   /// violations().size() after the event's clock advance but before its
-  /// passes. Meaningful for ProcessShardedBatch (the phase-0/phase-1 marker
-  /// split); ProcessEventBatch sets it equal to violations_after.
+  /// passes — the phase-0 (timer) / phase-1 (match) marker split.
   std::uint32_t violations_clock = 0;
   /// violations().size() after the event completed.
   std::uint32_t violations_after = 0;
@@ -91,19 +60,6 @@ struct BatchEventResult {
   std::uint32_t live_after = 0;
   /// created_count() after the event.
   std::uint64_t created_after = 0;
-};
-
-/// What a sharded batch does with one event — the per-event decision the
-/// parallel worker loop used to make inline (parallel_monitor_set.cpp).
-struct ShardedBatchOp {
-  /// Stage mask for ProcessShardedEvent; 0 = clock-only (no passes run).
-  std::uint64_t stage_mask = 0;
-  /// Gates the events/events_dispatched counters (exactly one replica
-  /// counts each event).
-  bool count = false;
-  /// True on the replica that accounts the event as filtered
-  /// (NoteFilteredEvent instead of a bare AdvanceTime).
-  bool filtered = false;
 };
 
 /// Which execution engine runs a property.
@@ -117,25 +73,11 @@ enum class EngineKind : std::uint8_t {
 
 const char* EngineKindName(EngineKind kind);
 
-// The pragma region silences the deprecated-member warning GCC/Clang emit
-// for MonitorConfig's *implicit* copy/move members (reported at the struct,
-// not the caller); explicit uses of the deprecated field still warn at
-// their own site.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
 struct MonitorConfig {
   ProvenanceLevel provenance = ProvenanceLevel::kLimited;
   /// Bounded-memory eviction (the paper's space-consumption concern):
   /// policy + instance/byte caps; disabled by default. See eviction.hpp.
   EvictionConfig eviction;
-  /// DEPRECATED shim (one PR): use eviction.max_instances. Folded into the
-  /// eviction config by EffectiveEviction() when the new field is unset;
-  /// the legacy semantics (oldest-first eviction) is exactly
-  /// EvictionPolicy::kCreationOrder.
-  [[deprecated("use MonitorConfig::eviction (EvictionConfig) instead")]]
-  std::size_t max_instances = 0;
   /// Disables the link-key index (every advance and abort lookup scans all
   /// instances at the stage). Exists for the store ablation bench;
   /// semantics are identical.
@@ -151,24 +93,6 @@ struct MonitorConfig {
   /// interpreter — CreatePropertyMonitor documents the exact rules.
   EngineKind engine = EngineKind::kDefault;
 
-  /// The eviction config engines actually run: `eviction`, with the legacy
-  /// max_instances field folded in when the new one is unset. Everything
-  /// that consults eviction (both engines, the shard-plan analysis, the
-  /// daemon) goes through this, so legacy callers keep their exact
-  /// oldest-first behaviour for the shim's one-PR lifetime.
-  EvictionConfig EffectiveEviction() const {
-    EvictionConfig e = eviction;
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-    if (e.max_instances == 0) e.max_instances = max_instances;
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-    return e;
-  }
-
   // Builder-style setters (chainable).
   MonitorConfig& WithEviction(EvictionConfig e) {
     eviction = e;
@@ -183,9 +107,6 @@ struct MonitorConfig {
     return *this;
   }
 };
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 struct MonitorStats {
   std::uint64_t events = 0;
@@ -203,11 +124,22 @@ struct MonitorStats {
   std::uint64_t candidate_checks = 0;  // instances examined across lookups
   std::uint64_t abort_checks = 0;      // the abort pass's share of those
   std::size_t peak_live = 0;
-  // TimerSet mirrors. Filled on demand by CollectInto() straight from the
-  // TimerSet, so they can never be read stale.
-  std::uint64_t timers_armed = 0;      // Arm() calls, including re-arms
-  std::uint64_t timer_stale_pops = 0;  // lazily discarded stale heap entries
 };
+
+/// The one writer of what both engines publish under
+/// `monitor.engine.<name>.`: 16 counters, 5 gauges and, while eviction is
+/// enabled, the evictions split by policy and by binding cap — so the two
+/// engines cannot drift in name or value. The timer counters
+/// (`timers_armed`, `timer_stale_pops`, `timers_pending`) are read from
+/// `timers` at call time, so they are never stale, and the `state_bytes`
+/// gauge is the engine-neutral model the byte cap is enforced against, so
+/// gauge and cap always agree.
+void PublishEngineCounters(telemetry::Snapshot& snap, std::string_view name,
+                           const MonitorStats& stats, std::size_t live,
+                           std::size_t num_vars, const TimerSet& timers,
+                           const EvictionState& eviction,
+                           std::uint64_t evictions_capacity,
+                           std::uint64_t evictions_bytes);
 
 class PropertyMonitor : public DataplaneObserver {
  public:
@@ -254,108 +186,33 @@ class PropertyMonitor : public DataplaneObserver {
     ProcessDispatchedEvent(event);
   }
 
-  // --- batch execution (PR 9) ---
-  /// Feeds a whole run of events in order. Observationally identical to the
-  /// scalar loop `for e: interested ? ProcessDispatchedEvent(e)
-  /// : NoteFilteredEvent(e.time)` — same violations (bit-identical,
-  /// including instance ids), same counters — but a native implementation
-  /// (CompiledEngine) may stage the work across the batch: hash keys up
-  /// front, prefetch probe targets a fixed distance ahead, then run the
-  /// per-event passes against warm lines. `fused` optionally carries
-  /// precomputed hash rows (the caller must have run
-  /// FusedKeyTable::ComputeRows over exactly these events) and may be null;
-  /// `results`, when non-null, must hold `count` entries and is filled with
-  /// the per-event observability marks. The default is the scalar loop —
-  /// the interpreter's fallback.
-  virtual void ProcessEventBatch(const DataplaneEvent* events,
-                                 std::size_t count, const FusedKeyTable* fused,
-                                 BatchEventResult* results) {
-    (void)fused;
+  /// Runs `count` events in order. Per event: NoteFilteredEvent when
+  /// `ops[i].filtered`, else a bare AdvanceTime; then, unless the stage mask
+  /// is 0, ProcessShardedEvent(event, ops[i].stage_mask, ops[i].count).
+  /// `marks` must hold `count` entries; marks[i].violations_clock is
+  /// captured between the clock advance and the passes. The op
+  /// {~0, count, not filtered} has exactly ProcessDispatchedEvent's effect
+  /// and {0, no count, filtered} NoteFilteredEvent's, which is how the
+  /// parallel workers drive property-sharded engines through the same
+  /// loop as their instance-sharded replicas. The default is this loop
+  /// over the virtual entry points; CompiledEngine runs it natively.
+  virtual void ProcessRun(const DataplaneEvent* events, std::size_t count,
+                          const RunOp* ops, RunMarks* marks) {
     for (std::size_t i = 0; i < count; ++i) {
       const DataplaneEvent& ev = events[i];
-      if ((interest_ >> static_cast<int>(ev.type)) & 1) {
-        ProcessDispatchedEvent(ev);
-      } else {
-        NoteFilteredEvent(ev.time);
-      }
-      if (results != nullptr) {
-        BatchEventResult& r = results[i];
-        r.violations_after =
-            static_cast<std::uint32_t>(violations().size());
-        r.violations_clock = r.violations_after;
-        r.live_after = static_cast<std::uint32_t>(live_instances());
-        r.created_after = created_count();
-      }
-    }
-  }
-
-  /// Convenience wrapper over ProcessEventBatch for the SoA slab arenas the
-  /// parallel path drains (event_batch.hpp).
-  void ProcessBatch(const SlabBatch<DataplaneEvent>& batch,
-                    const FusedKeyTable* fused = nullptr,
-                    BatchEventResult* results = nullptr) {
-    ProcessEventBatch(batch.items.data(), batch.size, fused, results);
-  }
-
-  /// Sharded-batch counterpart: per event, `ops[i]` says what the scalar
-  /// worker loop would have done — NoteFilteredEvent / bare AdvanceTime /
-  /// AdvanceTime + ProcessShardedEvent(stage_mask, count). results[i]
-  /// .violations_clock is captured between the clock advance and the
-  /// passes, which is the phase-0 (timer) / phase-1 (match) marker split.
-  virtual void ProcessShardedBatch(const DataplaneEvent* events,
-                                   std::size_t count,
-                                   const ShardedBatchOp* ops,
-                                   const FusedKeyTable* fused,
-                                   BatchEventResult* results) {
-    (void)fused;
-    for (std::size_t i = 0; i < count; ++i) {
-      const DataplaneEvent& ev = events[i];
-      const ShardedBatchOp& op = ops[i];
+      const RunOp& op = ops[i];
       if (op.filtered) {
         NoteFilteredEvent(ev.time);
       } else {
         AdvanceTime(ev.time);
       }
-      if (results != nullptr)
-        results[i].violations_clock =
-            static_cast<std::uint32_t>(violations().size());
+      RunMarks& r = marks[i];
+      r.violations_clock = static_cast<std::uint32_t>(violations().size());
       if (op.stage_mask != 0) ProcessShardedEvent(ev, op.stage_mask, op.count);
-      if (results != nullptr) {
-        BatchEventResult& r = results[i];
-        r.violations_after =
-            static_cast<std::uint32_t>(violations().size());
-        r.live_after = static_cast<std::uint32_t>(live_instances());
-        r.created_after = created_count();
-      }
+      r.violations_after = static_cast<std::uint32_t>(violations().size());
+      r.live_after = static_cast<std::uint32_t>(live_instances());
+      r.created_after = created_count();
     }
-  }
-
-  /// Pure event-field key tuples this engine probes per event, in the
-  /// engine's site order — the contract for BindFusedRows. Empty (the
-  /// default) means the engine takes no part in hash fusion.
-  virtual std::vector<ProbeKeyTuple> ProbeKeyTuples() const { return {}; }
-
-  /// Binds this engine's probe sites to fused-table slots: slots[k] is the
-  /// owning set's FusedKeyTable slot for ProbeKeyTuples()[k]. Called by the
-  /// owner whenever it rebuilds its table (attach/detach); engines consume
-  /// the slots in ProcessEventBatch/ProcessShardedBatch when `fused` is
-  /// passed.
-  virtual void BindFusedRows(std::vector<std::uint32_t> slots) {
-    (void)slots;
-  }
-
-  /// Per-batch demand hint for the owner's fused hash pass: sets
-  /// `want[slot] = 1` for every bound fused slot whose probe this engine
-  /// could actually consume right now (a key site is wanted only while its
-  /// map holds entries — an empty map can't satisfy any lookup). The owner
-  /// zeroes `want` (FusedKeyTable::tuples() entries), polls every engine,
-  /// and skips hashing unwanted tuples entirely. Advisory, like
-  /// KeyConstFilter: a probe whose row was skipped hashes inline at the
-  /// probe, so a stale hint (an instance created mid-batch) degrades
-  /// fusion, not correctness. The default marks nothing — engines that
-  /// never bound slots have nothing to demand.
-  virtual void MarkConsumableFusedSlots(std::uint8_t* want) const {
-    (void)want;
   }
 
   /// Lifetime instances_created count. The sharded driver polls the delta

@@ -275,27 +275,6 @@ TEST(ParallelMonitorSetTest, GreedyAssignmentIsBalancedAndDeterministic) {
   EXPECT_NE(wide[0], wide[1]);
 }
 
-TEST(ParallelMonitorSetTest, CalibrationWeighsBusyEnginesHeavier) {
-  // On an ARP-heavy sample, the ARP deadline property does real instance
-  // work while the FTP property never matches; calibration must notice.
-  std::vector<DataplaneEvent> sample;
-  for (int i = 0; i < 200; ++i) {
-    DataplaneEvent ev;
-    ev.type = DataplaneEventType::kArrival;
-    ev.time = SimTime::Zero() + Duration::Millis(i);
-    ev.fields.Set(FieldId::kArpOp, i % 2 == 0 ? 2 : 1);
-    ev.fields.Set(FieldId::kArpSenderIp, 7 + i % 3);
-    ev.fields.Set(FieldId::kArpTargetIp, 7 + i % 3);
-    sample.push_back(std::move(ev));
-  }
-  const std::vector<Property> props = {ArpProxyReplyDeadline(),
-                                       FtpDataPortMatchesControl()};
-  const auto weights = CalibrateShardWeights(props, sample);
-  ASSERT_EQ(weights.size(), 2u);
-  EXPECT_GT(weights[0], weights[1]);
-  EXPECT_GE(weights[1], 1.0);
-}
-
 TEST(ParallelMonitorSetTest, ShardsPartitionTheEngines) {
   ParallelConfig cfg;
   cfg.workers = 4;
@@ -309,7 +288,7 @@ TEST(ParallelMonitorSetTest, ShardsPartitionTheEngines) {
     ASSERT_LT(set.shard_of(i), 4u);
     ++per_worker[set.shard_of(i)];
   }
-  // Uniform weights, 13 engines, 4 workers: greedy gives each 3 or 4.
+  // Unit weights, 13 engines, 4 workers: greedy gives each 3 or 4.
   for (const std::size_t n : per_worker) {
     EXPECT_GE(n, 3u);
     EXPECT_LE(n, 4u);
